@@ -87,10 +87,10 @@ def fixed_spectral_detector(features, config: FixedThresholdConfig) -> np.ndarra
     return (mags > thresholds).any(axis=1).astype(np.int64)
 
 
-def frame_rms(samples) -> float:
-    """Root-mean-square amplitude of one frame of samples."""
-    x = np.asarray(samples, dtype=np.float64)
-    return float(np.sqrt(np.mean(np.square(x))))
+def frame_rms(samples):
+    """Root-mean-square amplitude of one frame of samples, or of each row of a (T, N) block."""
+    rms = np.sqrt(np.mean(np.square(np.asarray(samples, dtype=np.float64)), axis=-1))
+    return float(rms) if rms.ndim == 0 else rms
 
 
 def decimated_adaptive_detector(frames, config: DecimationConfig) -> np.ndarray:
@@ -101,18 +101,14 @@ def decimated_adaptive_detector(frames, config: DecimationConfig) -> np.ndarray:
     Skipped frames always report 0 — events falling between inspected
     frames go unseen, which is this paradigm's known weakness.
     """
-    flags = []
+    samples = [frame.samples if isinstance(frame, Frame) else frame for frame in frames]
+    inspected = samples[:: config.decimation_factor]
+    flags = np.zeros(len(samples), dtype=np.int64)
     baseline: float | None = None
-    for i, frame in enumerate(frames):
-        if i % config.decimation_factor != 0:
-            flags.append(0)
-            continue
-        samples = frame.samples if isinstance(frame, Frame) else frame
-        rms = frame_rms(samples)
+    for i, rms in enumerate(frame_rms(inspected) if inspected else []):
         if baseline is None:
             baseline = rms
-            flags.append(0)
             continue
-        flags.append(1 if rms > config.threshold_ratio * baseline else 0)
+        flags[i * config.decimation_factor] = rms > config.threshold_ratio * baseline
         baseline = config.alpha * baseline + (1.0 - config.alpha) * rms
-    return np.asarray(flags, dtype=np.int64)
+    return flags

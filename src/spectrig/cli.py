@@ -17,6 +17,7 @@ from .baselines import (
     calibrate_fixed_thresholds,
     decimated_adaptive_detector,
     fixed_spectral_detector,
+    frame_rms,
 )
 from .envsim import GENERATOR_ID, ScenarioConfig, generate, replica_scenario
 from .evaluation import (
@@ -28,7 +29,6 @@ from .evaluation import (
     traffic_stats,
 )
 from .pipeline import Pipeline, PipelineConfig
-from .spectral import magnitude, FftPlan
 from .trigger import PAYLOAD_BITS, TriggerEvent, encode_event
 
 BITS_PER_FEATURE = 16
@@ -53,89 +53,54 @@ def _finite_or_none(value):
     return value if math.isfinite(value) else None
 
 
-def _run_proposed(frames, config: PipelineConfig):
-    """Run the pipeline over frames; return (event rows, series columns)."""
-    pipeline = Pipeline(config)
-    results = pipeline.run_stream(frames)
+_SERIES_COLUMNS = ("rms", "feature", "threshold", "margin", "event")
 
-    rows = []
-    total = len(results)
-    rms = np.empty(total)
-    feature = np.empty(total)
-    threshold = np.empty(total)
-    margin = np.empty(total)
-    flags = np.zeros(total, dtype=np.int64)
-    for i, result in enumerate(results):
-        rms[i] = float(np.sqrt(np.mean(np.square(frames[i].samples))))
-        pos = int(np.argmax(result.margins))
-        feature[i] = result.features.magnitudes[pos]
-        margin[i] = result.margins[pos]
-        threshold[i] = feature[i] - margin[i]
-        flags[i] = result.event
-        if result.event_record is not None:
-            record = result.event_record
-            rows.append(
-                io.EventRow(
-                    frame=result.frame_index,
-                    frame_delta=record.frame_delta,
-                    bin=record.bin_id,
-                    strength=record.strength,
-                    payload=encode_event(record),
-                )
-            )
-    series = {
-        "frame": np.arange(total, dtype=np.int64),
-        "rms": rms,
-        "feature": feature,
-        "threshold": threshold,
-        "margin": margin,
-        "event": flags,
-    }
+
+def _run_proposed(frames, config: PipelineConfig):
+    """Run the pipeline over frames; return (event rows, series columns).
+
+    The series shows, per frame, the bin with the largest margin. It is
+    built block by block, so no (frames, bins) array is kept.
+    """
+    # An empty column set first, so that an empty stream still gets every column.
+    rows, columns, start = [], [(np.empty(0),) * 4 + (np.zeros(0, np.int64),)], 0
+    for block in Pipeline(config).process_blocks(frames):
+        t = np.arange(len(block))
+        pos = np.argmax(block.margins, axis=1)
+        feature, margin = block.magnitudes[t, pos], block.margins[t, pos]
+        samples = np.array([f.samples for f in frames[start : start + len(block)]])
+        columns.append((frame_rms(samples), feature, feature - margin, margin, block.events))
+        rows += [_event_row(int(i), r) for i, r in zip(block.frame_indices, block.records) if r]
+        start += len(block)
+    series = {"frame": np.arange(start, dtype=np.int64)}
+    series.update(zip(_SERIES_COLUMNS, map(np.concatenate, zip(*columns))))
     return rows, series
 
 
-def _features_for(frames, config: PipelineConfig) -> np.ndarray:
-    plan = FftPlan(config.frame_size)
-    mags = [magnitude(plan(f.samples), config.bins, f.frame_index).magnitudes for f in frames]
-    return np.vstack(mags)
+def _event_row(frame: int, event: TriggerEvent) -> io.EventRow:
+    return io.EventRow(frame, event.frame_delta, event.bin_id, event.strength, encode_event(event))
 
 
 def _rows_from_flags(frames_fired, bins, strengths):
     """Delta-encode a plain flag stream into event rows."""
-    rows = []
-    previous = None
-    for frame, bin_id, strength in zip(frames_fired, bins, strengths):
-        delta = frame if previous is None else frame - previous
-        event = TriggerEvent(frame_delta=delta, bin_id=bin_id, strength=strength)
-        rows.append(
-            io.EventRow(
-                frame=frame,
-                frame_delta=delta,
-                bin=bin_id,
-                strength=strength,
-                payload=encode_event(event),
-            )
-        )
-        previous = frame
-    return rows
+    deltas = np.diff(frames_fired, prepend=0).tolist()
+    return [
+        _event_row(frame, TriggerEvent(frame_delta=delta, bin_id=bin_id, strength=strength))
+        for frame, delta, bin_id, strength in zip(frames_fired, deltas, bins, strengths)
+    ]
 
 
 def _run_fixed(frames, config: PipelineConfig, calib_frames: int):
-    mags = _features_for(frames, config)
     if calib_frames < 1 or calib_frames > len(frames):
         raise ValueError("--calib-frames must be within the frame stream")
+    mags = np.concatenate([b.magnitudes for b in Pipeline(config).process_blocks(frames)])
     fixed = calibrate_fixed_thresholds(mags[:calib_frames])
-    flags = fixed_spectral_detector(mags, fixed)
+    fired = np.flatnonzero(fixed_spectral_detector(mags, fixed))
     thresholds = fixed.as_array()
-    fired = np.flatnonzero(flags)
-    bins = []
-    strengths = []
-    for t in fired:
-        over = np.flatnonzero(mags[t] > thresholds)
-        pos = int(over[0])
-        bins.append(config.bins.bins[pos])
-        strengths.append(float(mags[t, pos] / thresholds[pos]))
-    return _rows_from_flags(fired.tolist(), bins, strengths)
+    pos = np.argmax(mags[fired] > thresholds, axis=1)  # first bin over its threshold
+    bins = np.asarray(config.bins.bins)[pos]
+    strengths = mags[fired, pos] / thresholds[pos]
+    return _rows_from_flags(fired.tolist(), bins.tolist(), strengths.tolist())
 
 
 def _run_decimated(frames, decimation: DecimationConfig):
@@ -160,13 +125,7 @@ def build_metrics(
     transmitted = len({int(f) for f in event_frames if int(f) >= warmup_frames})
     document = {
         "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn, "total": cm.total},
-        "derived": {
-            "sensitivity": derived.sensitivity,
-            "specificity": derived.specificity,
-            "precision": derived.precision,
-            "accuracy": derived.accuracy,
-            "false_alarm_rate": derived.false_alarm_rate,
-        },
+        "derived": dataclasses.asdict(derived),
         "frames": {"total": total_frames, "warmup_excluded": warmup_frames},
         "events_transmitted": transmitted,
     }
@@ -183,16 +142,7 @@ def build_metrics(
     if phase_bounds is not None:
         phase_rows = per_phase_scores(event_frames, truth, phase_bounds, warmup_frames)
         document["per_phase"] = [
-            {
-                "name": p.name,
-                "start_frame": p.start_frame,
-                "end_frame": p.end_frame,
-                "true_events": p.true_events,
-                "detected_events": p.detected_events,
-                "missed_events": p.missed_events,
-                "false_positives": p.false_positives,
-            }
-            for p in phase_rows
+            {**dataclasses.asdict(p), "missed_events": p.missed_events} for p in phase_rows
         ]
         if threshold_series is not None:
             summary = threshold_adaptation(threshold_series, phase_bounds, warmup_frames)
@@ -212,22 +162,24 @@ def build_metrics(
     return document
 
 
+_PHASE_COLUMNS = (
+    "name", "start_frame", "end_frame", "true_events", "detected_events", "missed_events",
+    "false_positives",
+)
+
+
+def _write_table(path: Path, keys, rows) -> None:
+    """CSV with a header line of keys, then those keys' values of each row."""
+    with open(path, "w", newline="") as fh:
+        for line in [keys] + [[row[k] for k in keys] for row in rows]:
+            fh.write(",".join(map(str, line)) + "\n")
+
+
 def _write_metrics_files(out_dir: Path, metrics: dict) -> None:
     io.dump_json(out_dir / "metrics.json", metrics)
-    with open(out_dir / "confusion.csv", "w", newline="") as fh:
-        fh.write("tp,fp,fn,tn\n")
-        cm = metrics["confusion"]
-        fh.write(f"{cm['tp']},{cm['fp']},{cm['fn']},{cm['tn']}\n")
+    _write_table(out_dir / "confusion.csv", ("tp", "fp", "fn", "tn"), [metrics["confusion"]])
     if "per_phase" in metrics:
-        with open(out_dir / "per_phase.csv", "w", newline="") as fh:
-            fh.write(
-                "name,start_frame,end_frame,true_events,detected_events,missed_events,false_positives\n"
-            )
-            for p in metrics["per_phase"]:
-                fh.write(
-                    f"{p['name']},{p['start_frame']},{p['end_frame']},{p['true_events']},"
-                    f"{p['detected_events']},{p['missed_events']},{p['false_positives']}\n"
-                )
+        _write_table(out_dir / "per_phase.csv", _PHASE_COLUMNS, metrics["per_phase"])
 
 
 def _print_metrics(metrics: dict, fmt: str) -> None:

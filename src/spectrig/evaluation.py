@@ -85,8 +85,6 @@ def score(
     if not 0 <= warmup_frames <= total_frames:
         raise ValueError("warmup_frames must lie within the frame range")
 
-    events = sorted({int(f) for f in event_frames if warmup_frames <= int(f) < total_frames})
-
     interval_frames = 0
     for interval in truth:
         if interval.start_frame < warmup_frames or interval.end_frame > total_frames:
@@ -96,18 +94,24 @@ def score(
             )
         interval_frames += interval.end_frame - interval.start_frame
 
-    tp = 0
-    covered = np.zeros(len(events), dtype=bool)
-    event_array = np.asarray(events, dtype=np.int64)
-    for interval in truth:
-        inside = (event_array >= interval.start_frame) & (event_array < interval.end_frame)
-        if inside.any():
-            tp += 1
-        covered |= inside
-    fp = int((~covered).sum())
-    fn = len(truth) - tp
+    hits, stray = _match(event_frames, truth, warmup_frames, total_frames)
+    tp = sum(hits)
+    fp = int(stray.size)
     tn = (total_frames - warmup_frames) - interval_frames - fp
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    return ConfusionMatrix(tp=tp, fp=fp, fn=len(truth) - tp, tn=tn)
+
+
+def _match(event_frames, truth: GroundTruth, lo: float, hi: float):
+    """Distinct event frames in [lo, hi) against truth: whether each interval
+    was hit, and the event frames that hit no interval (sorted)."""
+    events = np.asarray(sorted({int(f) for f in event_frames if lo <= int(f) < hi}), dtype=np.int64)
+    covered = np.zeros(events.size, dtype=bool)
+    hits = []
+    for interval in truth:
+        inside = (events >= interval.start_frame) & (events < interval.end_frame)
+        hits.append(bool(inside.any()))
+        covered |= inside
+    return hits, events[~covered]
 
 
 def _ratio(numerator: int, denominator: int) -> float | None:
@@ -132,15 +136,8 @@ def per_phase_scores(
     warmup_frames: int = 0,
 ) -> list[PhaseScore]:
     """Split TP/FN (per interval, by start frame) and FP (per frame) by phase."""
-    events = sorted({int(f) for f in event_frames if int(f) >= warmup_frames})
-    event_array = np.asarray(events, dtype=np.int64)
-    covered = np.zeros(len(events), dtype=bool)
-    detected = {}
-    for interval in truth:
-        inside = (event_array >= interval.start_frame) & (event_array < interval.end_frame)
-        detected[interval] = bool(inside.any())
-        covered |= inside
-    stray = event_array[~covered]
+    hits, stray = _match(event_frames, truth, warmup_frames, math.inf)
+    detected = dict(zip(truth, hits))
 
     scores = []
     for name, start, end in phase_bounds:

@@ -223,7 +223,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 
 def pipeline_config_to_dict(config: PipelineConfig) -> dict:
-    return {
+    data = {
         "frame_size": config.frame_size,
         "sample_rate_hz": config.sample_rate_hz,
         "bins": list(config.bins.bins),
@@ -234,6 +234,9 @@ def pipeline_config_to_dict(config: PipelineConfig) -> dict:
         "ema_alpha": config.ema_alpha,
         "warmup_frames": config.warmup_frames,
     }
+    if config.window is not None:  # a rectangular window writes no key
+        data["window"] = config.window.tolist()
+    return data
 
 
 def pipeline_config_from_dict(data: dict) -> PipelineConfig:
@@ -255,6 +258,7 @@ def pipeline_config_from_dict(data: dict) -> PipelineConfig:
             tracker=data.get("tracker", "median"),
             ema_alpha=float(data.get("ema_alpha", 0.95)),
             warmup_frames=int(data["warmup_frames"]) if "warmup_frames" in data else None,
+            window=data.get("window"),
         )
     except KeyError as exc:
         raise ValueError(f"pipeline config missing field: {exc}") from exc

@@ -7,95 +7,129 @@ import math
 import numpy as np
 
 
-class MedianBuffer:
-    """Fixed-capacity circular window with order-statistic median.
+class MedianWindows:
+    """Fixed-capacity circular windows, one row per series, with order-statistic medians.
 
-    Until the window is full, the median is taken over the filled portion.
-    The selected order statistic is index ``fill_count // 2`` (zero-based),
-    i.e. the upper-middle sample for even counts — median selection never
-    interpolates, so the output is always a value that was inserted.
+    The median of f filled samples is order statistic f // 2 (the upper
+    middle for even f; never interpolated). Unfilled slots hold +inf at even
+    and -inf at odd positions and fill in order, leaving capacity//2 - f//2
+    of -inf, so order statistic capacity // 2 of the whole row is exactly
+    that median at every fill level: one fixed-index selection for all rows.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, rows: int = 1):
         if capacity < 1:
             raise ValueError("buffer capacity must be >= 1")
         self.capacity = capacity
-        self._values = np.zeros(capacity, dtype=np.float64)
+        empty = np.where(np.arange(capacity) % 2 == 0, np.inf, -np.inf)
+        self._values = np.tile(empty, (rows, 1))
         self._next = 0
+
+    def push(self, values, row: int | None = None) -> None:
+        """Insert one value per row, or only into ``row``, evicting the oldest.
+
+        A row advanced alone is rotated so its oldest entry is back at the
+        shared write slot."""
+        if row is None:
+            self._values[:, self._next] = values
+            self._next = (self._next + 1) % self.capacity
+        else:
+            self._values[row, self._next] = values
+            self._values[row] = np.roll(self._values[row], -1)
+
+    def medians(self, row: int | None = None):
+        """Median of every row (an array) or of one row; the windows are not reordered."""
+        mid = self.capacity // 2
+        if row is None:
+            return np.partition(self._values, mid, axis=1)[:, mid]
+        return np.partition(self._values[row], mid)[mid]
+
+
+class MedianBuffer(MedianWindows):
+    """A single window with scalar push and median."""
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
         self.fill_count = 0
 
     def push(self, value: float) -> None:
-        """Insert one value, evicting the oldest once the window is full."""
-        self._values[self._next] = value
-        self._next = (self._next + 1) % self.capacity
-        if self.fill_count < self.capacity:
-            self.fill_count += 1
+        super().push(value)
+        self.fill_count = min(self.fill_count + 1, self.capacity)
 
     def median(self) -> float:
-        """Order-statistic median of the filled window contents.
-
-        Selection partially sorts a copy up to the median position; the
-        buffer itself is never reordered.
-        """
         if self.fill_count == 0:
             raise ValueError("median of an empty buffer")
-        window = self._values[: self.fill_count] if self.fill_count < self.capacity else self._values
-        mid = self.fill_count // 2
-        return float(np.partition(window, mid)[mid])
+        return float(self.medians(0))
 
     def contents(self) -> np.ndarray:
         """Copy of the filled window (storage order, not insertion order)."""
-        if self.fill_count < self.capacity:
-            return self._values[: self.fill_count].copy()
-        return self._values.copy()
+        return self._values[0, : self.fill_count].copy()
 
 
-class NoiseFloorState:
+class _BinTracker:
+    """Per-bin estimates; subclasses supply ``_advance(magnitudes, row)``, one
+    frame's update of every bin (row None) or of one bin, returning estimates."""
+
+    def __init__(self, bins):
+        self.bins = tuple(bins)
+        self._rows = {k: i for i, k in enumerate(self.bins)}
+        self._estimates = np.zeros(len(self.bins))
+
+    def update(self, bin_index: int, magnitude: float) -> float:
+        """Insert one magnitude for one bin and return the refreshed estimate."""
+        if bin_index not in self._rows:
+            raise KeyError(f"bin {bin_index} is not tracked")
+        if not math.isfinite(magnitude) or magnitude < 0:
+            raise ValueError(f"magnitude must be finite and >= 0, got {magnitude}")
+        row = self._rows[bin_index]
+        self._estimates[row] = self._advance(float(magnitude), row)
+        return float(self._estimates[row])
+
+    def update_all(self, magnitudes) -> np.ndarray:
+        """Update every bin with one frame's magnitudes, shape (M,), or with a
+        (T, M) block of frames in order; returns estimates of the same shape."""
+        mags = np.asarray(magnitudes, dtype=np.float64)
+        if mags.ndim not in (1, 2) or mags.shape[-1] != len(self.bins):
+            raise ValueError(f"expected {len(self.bins)} magnitudes per frame, got {mags.shape}")
+        if not np.isfinite(mags).all() or (mags < 0).any():
+            raise ValueError("magnitudes must be finite and >= 0")
+        block = mags.reshape(-1, len(self.bins))
+        estimates = np.empty_like(block)
+        for t, frame in enumerate(block):
+            estimates[t] = self._estimates = self._advance(frame)
+        return estimates.reshape(mags.shape)
+
+    @property
+    def estimates(self) -> np.ndarray:
+        """Current per-bin estimates, aligned with the bin order."""
+        return self._estimates.copy()
+
+
+class NoiseFloorState(_BinTracker):
     """Per-bin dual-stage cascaded median tracker.
 
     Stage 1 is a short window that absorbs single-frame artifacts; its
     median feeds stage 2, a long window that follows slow ambient drift.
     Both stages update unconditionally on every frame, trigger or not.
+    Each stage keeps all bins as one (bins, window) matrix.
     """
 
     def __init__(self, bins, fast_window: int = 3, slow_window: int = 64):
         if fast_window < 1 or slow_window < 1:
             raise ValueError("window sizes must be >= 1")
-        self.bins = tuple(bins)
+        super().__init__(bins)
         self.fast_window = fast_window
         self.slow_window = slow_window
-        self.stage1 = {k: MedianBuffer(fast_window) for k in self.bins}
-        self.stage2 = {k: MedianBuffer(slow_window) for k in self.bins}
-        self._estimates = {k: 0.0 for k in self.bins}
+        self.stage1 = MedianWindows(fast_window, len(self.bins))
+        self.stage2 = MedianWindows(slow_window, len(self.bins))
 
-    def update(self, bin_index: int, magnitude: float) -> float:
-        """Insert one magnitude for one bin and return the refreshed estimate."""
-        if bin_index not in self._estimates:
-            raise KeyError(f"bin {bin_index} is not tracked")
-        if not math.isfinite(magnitude) or magnitude < 0:
-            raise ValueError(f"magnitude must be finite and >= 0, got {magnitude}")
-        stage1 = self.stage1[bin_index]
-        stage1.push(magnitude)
-        stage2 = self.stage2[bin_index]
-        stage2.push(stage1.median())
-        estimate = stage2.median()
-        self._estimates[bin_index] = estimate
-        return estimate
-
-    def update_all(self, magnitudes) -> np.ndarray:
-        """Update every tracked bin in order; returns the estimate vector."""
-        mags = np.asarray(magnitudes, dtype=np.float64)
-        if mags.shape != (len(self.bins),):
-            raise ValueError(f"expected {len(self.bins)} magnitudes, got {mags.shape}")
-        return np.array([self.update(k, m) for k, m in zip(self.bins, mags)])
-
-    @property
-    def estimates(self) -> np.ndarray:
-        """Current per-bin estimates, aligned with the bin order."""
-        return np.array([self._estimates[k] for k in self.bins])
+    def _advance(self, magnitudes, row=None):
+        self.stage1.push(magnitudes, row)
+        self.stage2.push(self.stage1.medians(row), row)
+        return self.stage2.medians(row)
 
 
-class EmaTracker:
+class EmaTracker(_BinTracker):
     """Single-pole exponential tracker, selectable in place of the cascade.
 
     estimate <- alpha * estimate + (1 - alpha) * magnitude, seeded with the
@@ -105,29 +139,13 @@ class EmaTracker:
     def __init__(self, bins, alpha: float = 0.95):
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        self.bins = tuple(bins)
+        super().__init__(bins)
         self.alpha = alpha
-        self._estimates: dict[int, float | None] = {k: None for k in self.bins}
+        self._seen = np.zeros(len(self.bins), dtype=bool)
 
-    def update(self, bin_index: int, magnitude: float) -> float:
-        if bin_index not in self._estimates:
-            raise KeyError(f"bin {bin_index} is not tracked")
-        if not math.isfinite(magnitude) or magnitude < 0:
-            raise ValueError(f"magnitude must be finite and >= 0, got {magnitude}")
-        previous = self._estimates[bin_index]
-        if previous is None:
-            estimate = magnitude
-        else:
-            estimate = self.alpha * previous + (1.0 - self.alpha) * magnitude
-        self._estimates[bin_index] = estimate
+    def _advance(self, magnitudes, row=None):
+        rows = slice(None) if row is None else row
+        blended = self.alpha * self._estimates[rows] + (1.0 - self.alpha) * magnitudes
+        estimate = np.where(self._seen[rows], blended, magnitudes)
+        self._seen[rows] = True
         return estimate
-
-    def update_all(self, magnitudes) -> np.ndarray:
-        mags = np.asarray(magnitudes, dtype=np.float64)
-        if mags.shape != (len(self.bins),):
-            raise ValueError(f"expected {len(self.bins)} magnitudes, got {mags.shape}")
-        return np.array([self.update(k, m) for k, m in zip(self.bins, mags)])
-
-    @property
-    def estimates(self) -> np.ndarray:
-        return np.array([self._estimates[k] or 0.0 for k in self.bins])

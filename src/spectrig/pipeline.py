@@ -1,15 +1,18 @@
-"""Per-frame detection pipeline: transform, track the floor, decide, emit."""
+"""Detection pipeline: transform, track the floor, decide, emit, a block of frames at a time."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .noisefloor import EmaTracker, NoiseFloorState
 from .spectral import BinSet, FftPlan, Frame, SpectralFeatures, is_power_of_two, magnitude
 from .trigger import (
+    MAX_BIN_ID,
     ThresholdConfig,
     TriggerEvent,
     decide_bin,
@@ -19,6 +22,7 @@ from .trigger import (
 
 TRACKER_MEDIAN = "median"
 TRACKER_EMA = "ema"
+BLOCK_SAMPLES = 8192  # frames per block = this // frame_size (>= 1); larger slowed N=2048 down
 
 
 @dataclass
@@ -48,6 +52,8 @@ class PipelineConfig:
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
         self.bins.validate_for(self.frame_size)
+        if self.bins.bins[-1] > MAX_BIN_ID:
+            raise ValueError(f"bin {self.bins.bins[-1]} above the payload bin limit {MAX_BIN_ID}")
         if self.fast_window < 1 or self.slow_window < 1:
             raise ValueError("window sizes must be >= 1")
         if self.thresholds is None:
@@ -81,6 +87,32 @@ class FrameResult:
     event_record: TriggerEvent | None = field(default=None)
 
 
+@dataclass(eq=False)
+class BlockResult:
+    """Outputs for a run of frames: one row per frame, one column per bin."""
+
+    frame_indices: np.ndarray
+    magnitudes: np.ndarray
+    estimates: np.ndarray
+    margins: np.ndarray
+    events: np.ndarray
+    records: list  # TriggerEvent where the frame fired, else None
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def frame_result(self, t: int) -> FrameResult:
+        index = int(self.frame_indices[t])
+        return FrameResult(
+            frame_index=index,
+            features=SpectralFeatures(frame_index=index, magnitudes=self.magnitudes[t]),
+            estimates=self.estimates[t],
+            margins=self.margins[t],
+            event=int(self.events[t]),
+            event_record=self.records[t],
+        )
+
+
 class Pipeline:
     """Stateful detector: owns the transform plan and the floor tracker.
 
@@ -97,12 +129,9 @@ class Pipeline:
         if config.tracker == TRACKER_EMA:
             self._tracker = EmaTracker(config.bins, alpha=config.ema_alpha)
         else:
-            self._tracker = NoiseFloorState(
-                config.bins,
-                fast_window=config.fast_window,
-                slow_window=config.slow_window,
-            )
+            self._tracker = NoiseFloorState(config.bins, config.fast_window, config.slow_window)
         self._coefficients = config.thresholds.as_array()
+        self._block_rows = max(1, BLOCK_SAMPLES // config.frame_size)
         self._frames_processed = 0
         self._last_event_frame: int | None = None
 
@@ -114,65 +143,64 @@ class Pipeline:
     def frames_processed(self) -> int:
         return self._frames_processed
 
-    def process_frame(self, frame: Frame) -> FrameResult:
-        """Run one frame through transform, floor update, and decision.
+    def process_blocks(self, frames) -> Iterator[BlockResult]:
+        """The detection core: transform, floor update and decision, in order.
 
-        Estimates update on every frame; the event flag is forced to 0
-        while the warm-up period lasts.
+        Frames are stacked into blocks of BLOCK_SAMPLES // frame_size rows,
+        one BlockResult per block, bit-identical to one frame at a time.
+        Estimates update on every frame; events are forced to 0 during the
+        warm-up. An error names the frame's position in ``frames``, and every
+        frame before it has been processed.
         """
-        if frame.size != self.config.frame_size:
-            raise ValueError(
-                f"frame size {frame.size} does not match configured {self.config.frame_size}"
-            )
-        samples = frame.samples
+        frames, position = iter(frames), 0
+        while block := list(islice(frames, self._block_rows)):
+            try:
+                yield self._step(block)
+            except ValueError:
+                # Redo the block frame by frame, to name the frame at fault.
+                for offset, frame in enumerate(block):
+                    try:
+                        yield self._step([frame])
+                    except ValueError as exc:
+                        raise ValueError(f"frame {position + offset}: {exc}") from exc
+            position += len(block)
+
+    def _step(self, frames) -> BlockResult:
+        """The detection core on one stacked block; raises before changing any state."""
+        size = self.config.frame_size
+        for frame in frames:
+            if frame.size != size:
+                raise ValueError(f"frame size {frame.size} does not match configured {size}")
+        samples = np.array([frame.samples for frame in frames])
         if self.config.window is not None:
             samples = samples * self.config.window
-        spectrum = self._plan(samples)
-        features = magnitude(spectrum, self.config.bins, frame_index=frame.frame_index)
-        mags = features.magnitudes
+        indices = [frame.frame_index for frame in frames]
+        mags = magnitude(self._plan(samples), self.config.bins, indices[0]).magnitudes
 
         estimates = self._tracker.update_all(mags)
         margins = mags - self._coefficients * estimates
+        decisions = decide_bin(mags, estimates, self._coefficients)
+        events = decide_event(decisions)
+        events[: max(self.config.warmup_frames - self._frames_processed, 0)] = 0
 
-        decisions = [
-            decide_bin(m, e, c)
-            for m, e, c in zip(mags, estimates, self._coefficients)
-        ]
-        warming_up = self._frames_processed < self.config.warmup_frames
-        event = 0 if warming_up else decide_event(decisions)
+        records = [None] * len(frames)
+        for t in events.nonzero()[0]:
+            pos = first_firing_bin(decisions[t])
+            estimate = estimates[t, pos]
+            strength = float(mags[t, pos] / estimate) if estimate > 0 else math.inf
+            last, self._last_event_frame = self._last_event_frame, indices[t]
+            delta = indices[t] if last is None else indices[t] - last
+            records[t] = TriggerEvent(delta, self.config.bins.bins[pos], strength)
+        self._frames_processed += len(frames)
+        return BlockResult(np.array(indices), mags, estimates, margins, events, records)
 
-        record = None
-        if event:
-            pos = first_firing_bin(decisions)
-            bin_id = self.config.bins.bins[pos]
-            estimate = estimates[pos]
-            strength = float(mags[pos] / estimate) if estimate > 0 else math.inf
-            if self._last_event_frame is None:
-                delta = frame.frame_index
-            else:
-                delta = frame.frame_index - self._last_event_frame
-            record = TriggerEvent(frame_delta=delta, bin_id=bin_id, strength=strength)
-            self._last_event_frame = frame.frame_index
-
-        self._frames_processed += 1
-        return FrameResult(
-            frame_index=frame.frame_index,
-            features=features,
-            estimates=estimates,
-            margins=margins,
-            event=event,
-            event_record=record,
-        )
+    def process_frame(self, frame: Frame) -> FrameResult:
+        """Run one frame through the detection core, as a block of one."""
+        return self._step([frame]).frame_result(0)
 
     def run_stream(self, frames) -> list[FrameResult]:
         """Process frames in order; per-frame errors carry the frame position."""
-        results = []
-        for i, frame in enumerate(frames):
-            try:
-                results.append(self.process_frame(frame))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"frame {i}: {exc}") from exc
-        return results
+        return [b.frame_result(t) for b in self.process_blocks(frames) for t in range(len(b))]
 
 
 def run_stream(config: PipelineConfig, frames) -> list[FrameResult]:

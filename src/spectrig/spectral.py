@@ -84,14 +84,14 @@ class BinSet:
 
 @dataclass(frozen=True, eq=False)
 class SpectralFeatures:
-    """Magnitudes at the monitored bins for one frame."""
+    """Magnitudes at the monitored bins for one frame (or one row per frame)."""
 
     frame_index: int
     magnitudes: np.ndarray
 
     def __post_init__(self) -> None:
         mags = np.asarray(self.magnitudes, dtype=np.float64)
-        if not np.all(np.isfinite(mags)) or np.any(mags < 0):
+        if not np.isfinite(mags).all() or (mags < 0).any():
             raise ValueError("magnitudes must be finite and non-negative")
         object.__setattr__(self, "magnitudes", mags)
 
@@ -126,12 +126,15 @@ class FftPlan:
             m *= 2
 
     def __call__(self, samples) -> np.ndarray:
+        """Spectrum of one frame, shape (N,), or of each row of a (T, N) block,
+        bit-identical per row: no butterfly group straddles two rows."""
         x = np.asarray(samples)
-        if x.shape != (self.size,):
-            raise ValueError(f"expected {self.size} samples, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.size:
+            raise ValueError(f"expected {self.size} samples per frame, got shape {x.shape}")
+        if not np.isfinite(x).all():
             raise ValueError("samples must all be finite")
-        x = x.astype(np.complex128)[self._reorder]
+        shape = x.shape
+        x = np.take(x, self._reorder, axis=-1).astype(np.complex128)
         for w in self._twiddles:
             half = w.size
             x = x.reshape(-1, 2 * half)
@@ -139,8 +142,7 @@ class FftPlan:
             lower = x[:, half:] * w
             x[:, :half] = upper + lower
             x[:, half:] = upper - lower
-            x = x.reshape(-1)
-        return x
+        return x.reshape(shape)
 
 
 @lru_cache(maxsize=32)
@@ -154,8 +156,8 @@ def fft(frame: Frame) -> np.ndarray:
 
 
 def magnitude(spectrum, bins: BinSet, frame_index: int = 0) -> SpectralFeatures:
-    """Extract sqrt(Re^2 + Im^2) at the monitored bins only."""
+    """Extract sqrt(Re^2 + Im^2) at the monitored bins only (per row of a block)."""
     spec = np.asarray(spectrum, dtype=np.complex128)
-    bins.validate_for(spec.size)
-    mags = np.abs(spec[np.asarray(bins.bins, dtype=np.intp)])
+    bins.validate_for(spec.shape[-1])
+    mags = np.abs(spec[..., np.asarray(bins.bins, dtype=np.intp)])
     return SpectralFeatures(frame_index=frame_index, magnitudes=mags)

@@ -60,27 +60,30 @@ class TriggerEvent:
     strength: float
 
 
-def decide_bin(magnitude: float, estimate: float, coefficient: float) -> int:
-    """Per-bin decision: 1 iff magnitude strictly exceeds coefficient * estimate."""
-    if not (math.isfinite(magnitude) and math.isfinite(estimate) and math.isfinite(coefficient)):
+def decide_bin(magnitude, estimate, coefficient):
+    """Per-bin decision: 1 iff magnitude strictly exceeds coefficient * estimate.
+
+    Arrays broadcast (a (T, M) block against M coefficients) to int8 decisions."""
+    m, e, c = (np.asarray(v, dtype=np.float64) for v in (magnitude, estimate, coefficient))
+    if not (np.isfinite(m).all() and np.isfinite(e).all() and np.isfinite(c).all()):
         raise ValueError("decision inputs must be finite")
-    return 1 if magnitude > coefficient * estimate else 0
+    fired = (m > c * e).view(np.int8)
+    return int(fired) if fired.ndim == 0 else fired
 
 
-def decide_event(decisions) -> int:
-    """System-level decision: 1 iff any per-bin decision fired."""
-    decisions = list(decisions)
-    if not decisions:
+def decide_event(decisions):
+    """System-level decision: 1 iff any per-bin decision fired (per row of a block)."""
+    decisions = np.asarray(decisions)
+    if decisions.ndim == 0 or decisions.shape[-1] == 0:
         raise ValueError("decision vector must not be empty")
-    return 1 if any(decisions) else 0
+    fired = decisions.any(axis=-1).astype(np.int64)
+    return int(fired) if fired.ndim == 0 else fired
 
 
 def first_firing_bin(decisions) -> int | None:
     """Position of the lowest-index firing decision, or None."""
-    for i, d in enumerate(decisions):
-        if d:
-            return i
-    return None
+    fired = np.flatnonzero(decisions)
+    return int(fired[0]) if fired.size else None
 
 
 def encode_event(event: TriggerEvent) -> int:

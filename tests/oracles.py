@@ -44,18 +44,37 @@ def cascade_reference(stream, fast_window: int, slow_window: int) -> list[float]
     return estimates
 
 
+def ema_reference(stream, alpha: float) -> list[float]:
+    """Exponential recursion seeded with the first value, one value at a time."""
+    estimates: list[float] = []
+    for value in stream:
+        estimates.append(alpha * estimates[-1] + (1.0 - alpha) * value if estimates else value)
+    return estimates
+
+
 def naive_pipeline_events(
-    frames, bins, fast_window: int, slow_window: int, coefficient: float, warmup: int
+    frames,
+    bins,
+    fast_window: int,
+    slow_window: int,
+    coefficient: float,
+    warmup: int,
+    tracker: str = "median",
+    alpha: float = 0.95,
 ) -> list[int]:
-    """Frame indices with a system event, via naive DFT and recomputed medians."""
+    """Frame indices with a system event, via naive DFT and recomputed medians
+    (or, with tracker "ema", the exponential recursion)."""
     magnitudes = {k: [] for k in bins}
     for frame in frames:
         spectrum = naive_dft(frame.samples)
         for k in bins:
             magnitudes[k].append(abs(spectrum[k]))
-    estimates = {
-        k: cascade_reference(magnitudes[k], fast_window, slow_window) for k in bins
-    }
+    if tracker == "ema":
+        estimates = {k: ema_reference(magnitudes[k], alpha) for k in bins}
+    else:
+        estimates = {
+            k: cascade_reference(magnitudes[k], fast_window, slow_window) for k in bins
+        }
     events = []
     for t, frame in enumerate(frames):
         if t < warmup:

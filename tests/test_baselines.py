@@ -141,3 +141,7 @@ class TestDecimatedDetector:
     def test_frame_rms(self):
         assert frame_rms(np.zeros(8)) == 0.0
         assert frame_rms(np.full(8, 3.0)) == pytest.approx(3.0)
+
+    def test_frame_rms_of_a_block_is_per_row(self):
+        block = np.random.default_rng(2).normal(size=(6, 128)) * 40.0
+        assert frame_rms(block).tolist() == [frame_rms(row) for row in block]

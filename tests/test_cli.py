@@ -2,11 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from spectrig import io
+from spectrig import pipeline as pipeline_module
 from spectrig.cli import main
 from spectrig.envsim import replica_scenario
+from spectrig.spectral import Frame
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +184,35 @@ class TestErrors:
             "--truth", str(replica_dir / "truth.csv"),
             "--out-dir", str(tmp_path / "out"),
         ]) == 2
+
+    def test_bin_above_payload_limit_rejected_before_any_frame(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        rng = np.random.default_rng(1)
+        frames = [
+            Frame(samples=rng.normal(size=1024), frame_index=i, sample_rate_hz=8000.0)
+            for i in range(20)
+        ]
+        io.write_frames(tmp_path / "frames.bin", frames)
+        io.dump_json(
+            tmp_path / "pipeline.json",
+            {"frame_size": 1024, "sample_rate_hz": 8000.0, "bins": [37, 300]},
+        )
+
+        def no_frames_expected(self, frames):
+            raise AssertionError("a frame was processed")
+
+        monkeypatch.setattr(pipeline_module.Pipeline, "_step", no_frames_expected)
+        out = tmp_path / "out"
+        assert main([
+            "detect",
+            "--frames", str(tmp_path / "frames.bin"),
+            "--config", str(tmp_path / "pipeline.json"),
+            "--out-dir", str(out),
+        ]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error:") and "300" in stderr and "255" in stderr
+        assert not out.exists()
 
     def test_unknown_detector_rejected_by_parser(self, replica_dir, tmp_path):
         with pytest.raises(SystemExit):

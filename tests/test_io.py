@@ -150,6 +150,20 @@ class TestConfigs:
         io.save_pipeline_config(path, config)
         assert io.load_pipeline_config(path) == config
 
+    def test_pipeline_config_window_round_trip(self, tmp_path):
+        config = PipelineConfig(
+            frame_size=64, sample_rate_hz=500.0, bins=BinSet((3, 9)), window=np.hanning(64)
+        )
+        path = tmp_path / "pipeline.json"
+        io.save_pipeline_config(path, config)
+        loaded = io.load_pipeline_config(path)
+        assert np.array_equal(loaded.window, config.window)
+        assert loaded.bins == config.bins and loaded.warmup_frames == config.warmup_frames
+
+    def test_rectangular_window_writes_no_key(self):
+        config = PipelineConfig(frame_size=64, sample_rate_hz=500.0, bins=BinSet((3, 9)))
+        assert "window" not in io.pipeline_config_to_dict(config)
+
     def test_pipeline_config_scalar_threshold(self, tmp_path):
         path = tmp_path / "pipeline.json"
         io.dump_json(

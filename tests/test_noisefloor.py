@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spectrig.noisefloor import EmaTracker, MedianBuffer, NoiseFloorState
 
-from oracles import cascade_reference, sorted_median
+from oracles import cascade_reference, ema_reference, sorted_median
 
 finite_floats = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -156,7 +156,7 @@ class TestNoiseFloorState:
         estimates = []
         for v in stream:
             estimates.append(state.update(0, v))
-            stage1_series.append(state.stage1[0].median())
+            stage1_series.append(float(state.stage1.medians(0)))
         assert all(b >= a for a, b in zip(stage1_series, stage1_series[1:]))
         assert all(b >= a for a, b in zip(estimates, estimates[1:]))
 
@@ -171,7 +171,7 @@ class TestNoiseFloorState:
         stage1_seen = set()
         for v in rng.uniform(0, 10, size=300):
             estimate = state.update(0, float(v))
-            stage1_seen.add(state.stage1[0].median())
+            stage1_seen.add(float(state.stage1.medians(0)))
             assert estimate in stage1_seen
 
     def test_unknown_bin(self):
@@ -200,7 +200,81 @@ class TestNoiseFloorState:
             state.update_all([1.0])
 
 
+def multi_bin_streams(frames=300, seed=21) -> np.ndarray:
+    """Five differently shaped bins side by side: noise, constant, rising,
+    spikes on a constant and a step, so that mixed-up rows show."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(frames)
+    spikes = np.full(frames, 7.0)
+    spikes[::17] = 1e6
+    step = np.where(t < frames // 2, 5.0, 40.0)
+    return np.column_stack(
+        [rng.uniform(0.0, 50.0, frames), np.full(frames, 3.25), t * 0.5, spikes, step]
+    )
+
+
+class TestMultiBinCascade:
+    @pytest.mark.parametrize("fast,slow", [(1, 1), (2, 4), (3, 16), (4, 9), (5, 64)])
+    def test_update_all_block_matches_oracle_for_every_bin(self, fast, slow):
+        streams = multi_bin_streams()
+        state = NoiseFloorState([2, 5, 7, 11, 13], fast_window=fast, slow_window=slow)
+        estimates = state.update_all(streams)
+        assert estimates.shape == streams.shape
+        for column in range(streams.shape[1]):
+            expected = cascade_reference(streams[:, column].tolist(), fast, slow)
+            assert estimates[:, column].tolist() == expected, column
+        assert state.estimates.tolist() == estimates[-1].tolist()
+
+    def test_row_by_row_equals_one_block(self):
+        streams = multi_bin_streams(frames=120)
+        by_rows = NoiseFloorState([1, 2, 3, 4, 5], fast_window=3, slow_window=8)
+        whole = NoiseFloorState([1, 2, 3, 4, 5], fast_window=3, slow_window=8)
+        rows = np.array([by_rows.update_all(row) for row in streams])
+        assert np.array_equal(rows, whole.update_all(streams))
+
+    def test_single_bin_updates_mixed_with_update_all(self):
+        """A bin advanced alone keeps its own window history, and so do the others."""
+        streams = multi_bin_streams(frames=200)
+        bins = [2, 5, 7, 11, 13]
+        state = NoiseFloorState(bins, fast_window=3, slow_window=8)
+        history = {k: [] for k in bins}
+        for t, row in enumerate(streams):
+            if t % 7 == 3:  # only bin 5, then bin 13, advance on this frame
+                for k, column in ((5, 1), (13, 4)):
+                    history[k].append(row[column])
+                    assert state.update(k, row[column]) == cascade_reference(history[k], 3, 8)[-1]
+                continue
+            estimates = state.update_all(row)
+            for column, k in enumerate(bins):
+                history[k].append(row[column])
+                assert estimates[column] == cascade_reference(history[k], 3, 8)[-1], (t, k)
+
+    def test_update_all_rejects_bad_blocks(self):
+        state = NoiseFloorState([1, 2, 3])
+        with pytest.raises(ValueError):
+            state.update_all(np.ones((4, 2)))
+        with pytest.raises(ValueError):
+            state.update_all(np.ones((2, 2, 3)))
+        bad = np.ones((4, 3))
+        bad[2, 1] = np.nan
+        with pytest.raises(ValueError):
+            state.update_all(bad)
+
+
 class TestEmaTracker:
+    def test_update_all_block_matches_scalar_recursion(self):
+        streams = multi_bin_streams()
+        tracker = EmaTracker([2, 5, 7, 11, 13], alpha=0.9)
+        estimates = tracker.update_all(streams)
+        for column in range(streams.shape[1]):
+            assert estimates[:, column].tolist() == ema_reference(streams[:, column], 0.9)
+
+    def test_unseen_bins_report_zero(self):
+        tracker = EmaTracker([1, 2], alpha=0.9)
+        tracker.update(2, 5.0)
+        assert tracker.estimates.tolist() == [0.0, 5.0]
+        assert tracker.update_all([4.0, 10.0]).tolist() == [4.0, 0.9 * 5.0 + 0.1 * 10.0]
+
     def test_seeds_with_first_magnitude(self):
         tracker = EmaTracker([0], alpha=0.9)
         assert tracker.update(0, 12.0) == 12.0

@@ -1,8 +1,13 @@
 """Whole-pipeline behavior: event emission, warm-up, equivalence, accounting."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spectrig import pipeline as pipeline_module
 from spectrig.pipeline import (
     Pipeline,
     PipelineConfig,
@@ -194,6 +199,115 @@ class TestRunStream:
             assert a.event == b.event
 
 
+def noisy_stream(seed: int, count: int, n: int = 16, bins=(1, 3, 6)) -> list[Frame]:
+    """Noise whose level drifts, with strong tones on monitored bins now and then."""
+    rng = np.random.default_rng(seed)
+    level = 1.0 + np.cumsum(rng.uniform(-0.2, 0.2, size=count)).clip(-0.5, 3.0)
+    t = np.arange(n)
+    frames = []
+    for i in range(count):
+        samples = rng.normal(size=n) * level[i]
+        if rng.random() < 0.2:
+            samples += 6.0 * level[i] * np.sin(2 * np.pi * rng.choice(bins) * t / n + rng.random())
+        frames.append(Frame(samples=samples, frame_index=i, sample_rate_hz=1000.0))
+    return frames
+
+
+def stacked(results):
+    """Frame-by-frame results as the arrays of a block."""
+    return (
+        np.array([r.features.magnitudes for r in results]),
+        np.array([r.estimates for r in results]),
+        np.array([r.margins for r in results]),
+        [r.event for r in results],
+        [r.event_record for r in results],
+    )
+
+
+class TestBlockCore:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_chunking_equals_frame_by_frame_and_oracle(self, data):
+        count = data.draw(st.integers(1, 60), label="frames")
+        fast = data.draw(st.integers(1, 4), label="fast")
+        slow = data.draw(st.integers(1, 12), label="slow")
+        tracker = data.draw(st.sampled_from(["median", "ema"]), label="tracker")
+        # None gives the default (the window sum); explicit values stay below it.
+        warmup = data.draw(st.one_of(st.none(), st.integers(0, fast + slow - 1)), label="warmup")
+        cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=6), label="cuts")
+        rows = data.draw(st.sampled_from([1, 2, 3, 5, 512]), label="block rows")
+        frames = noisy_stream(data.draw(st.integers(0, 2**32 - 1), label="seed"), count)
+
+        def fresh():
+            config = config_for(
+                [1, 3, 6], n=16, fast=fast, slow=slow, tracker=tracker,
+                ema_alpha=0.8, warmup_frames=warmup,
+            )
+            with mock.patch.object(pipeline_module, "BLOCK_SAMPLES", 16 * rows):
+                return Pipeline(config), config
+
+        chunked, config = fresh()
+        edges = [0, *sorted(set(cuts)), count]
+        blocks = [
+            block
+            for start, stop in zip(edges, edges[1:])
+            for block in chunked.process_blocks(frames[start:stop])
+        ]
+        assert all(len(block) <= rows for block in blocks)
+        stepped, _ = fresh()
+        expected = stacked([stepped.process_frame(frame) for frame in frames])
+        got = (
+            np.concatenate([b.magnitudes for b in blocks]),
+            np.concatenate([b.estimates for b in blocks]),
+            np.concatenate([b.margins for b in blocks]),
+            np.concatenate([b.events for b in blocks]).tolist(),
+            [record for b in blocks for record in b.records],
+        )
+        for name, a, b in zip(("magnitudes", "estimates", "margins"), got, expected):
+            assert np.array_equal(a, b), name
+        assert got[3:] == expected[3:]
+        assert chunked.frames_processed == stepped.frames_processed == count
+
+        fired = [frame.frame_index for frame, event in zip(frames, got[3]) if event]
+        mags, estimates = got[0], got[1]
+        for number, t in enumerate(fired):
+            record = got[4][t]
+            pos = int(np.flatnonzero(mags[t] > 1.5 * estimates[t])[0])
+            assert record.frame_delta == (t if number == 0 else t - fired[number - 1])
+            assert record.bin_id == (1, 3, 6)[pos]
+            assert record.strength == mags[t, pos] / estimates[t, pos]
+        assert sum(record is not None for record in got[4]) == len(fired)
+        assert fired == naive_pipeline_events(
+            frames, [1, 3, 6], fast, slow, 1.5, config.warmup_frames, tracker=tracker, alpha=0.8
+        )
+
+    def test_error_inside_a_block_names_the_frame(self):
+        config = config_for([3, 9], n=32, fast=2, slow=4)
+        rng = np.random.default_rng(4)
+        frames = [
+            Frame(samples=rng.normal(size=32), frame_index=i, sample_rate_hz=1000.0)
+            for i in range(40)
+        ]
+        bad = Frame(samples=np.zeros(64), frame_index=23, sample_rate_hz=1000.0)
+        with mock.patch.object(pipeline_module, "BLOCK_SAMPLES", 32 * 8):
+            pipeline = Pipeline(config)  # blocks of 8: frame 23 is the last of the third
+        with pytest.raises(ValueError, match="frame 23: frame size 64"):
+            list(pipeline.process_blocks(frames[:23] + [bad] + frames[24:]))
+        # every frame before the bad one was processed, none after it
+        assert pipeline.frames_processed == 23
+        reference = Pipeline(config)
+        list(reference.process_blocks(frames[:23]))
+        after = pipeline.process_frame(frames[24])
+        assert np.array_equal(after.estimates, reference.process_frame(frames[24]).estimates)
+
+    def test_empty_stream_gives_no_block(self):
+        assert list(Pipeline(config_for([3])).process_blocks([])) == []
+
+    def test_block_rows_follow_frame_size(self):
+        assert Pipeline(config_for([3], n=128))._block_rows == pipeline_module.BLOCK_SAMPLES // 128
+        assert Pipeline(config_for([3], n=16384))._block_rows == 1
+
+
 class TestEmaMode:
     def test_ema_tracker_selected(self):
         n, target = 32, 4
@@ -261,6 +375,11 @@ class TestConfigValidation:
     def test_threshold_count_mismatch(self):
         with pytest.raises(ValueError):
             config_for([3, 5], thresholds=ThresholdConfig.uniform(1.5, 3))
+
+    def test_bins_must_fit_the_payload_bin_field(self):
+        PipelineConfig(frame_size=512, sample_rate_hz=1.0, bins=BinSet((37, 255)))
+        with pytest.raises(ValueError, match="255"):
+            PipelineConfig(frame_size=1024, sample_rate_hz=1.0, bins=BinSet((37, 300)))
 
     def test_default_warmup_is_window_sum(self):
         config = config_for([3], fast=4, slow=10)

@@ -157,6 +157,38 @@ class TestFft:
         assert np.array_equal(first, second)
 
 
+class TestBlocks:
+    @pytest.mark.parametrize("n", [8, 128, 2048])
+    def test_block_rows_bit_identical_to_single_frames(self, n):
+        rng = np.random.default_rng(n)
+        block = rng.normal(size=(5, n)) * 100.0
+        plan = FftPlan(n)
+        spectra = plan(block)
+        assert spectra.shape == (5, n)
+        for row, spectrum in zip(block, spectra):
+            assert spectrum.tobytes() == plan(row).tobytes()
+
+    def test_block_magnitudes_per_row(self):
+        rng = np.random.default_rng(23)
+        spectra = rng.normal(size=(4, 32)) + 1j * rng.normal(size=(4, 32))
+        bins = BinSet((1, 5, 16))
+        features = magnitude(spectra, bins, frame_index=10)
+        assert features.magnitudes.shape == (4, 3)
+        for row, spectrum in zip(features.magnitudes, spectra):
+            assert np.array_equal(row, magnitude(spectrum, bins).magnitudes)
+
+    def test_block_shape_checked(self):
+        plan = FftPlan(16)
+        with pytest.raises(ValueError):
+            plan(np.zeros((3, 8)))
+        with pytest.raises(ValueError):
+            plan(np.zeros((2, 3, 16)))
+        bad = np.zeros((3, 16))
+        bad[2, 5] = np.inf
+        with pytest.raises(ValueError):
+            plan(bad)
+
+
 class TestMagnitude:
     def test_three_four_five(self):
         spectrum = np.zeros(16, dtype=complex)

@@ -4,6 +4,7 @@ import itertools
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -62,6 +63,33 @@ class TestDecideBin:
     def test_monotone_in_magnitude(self, estimate, low, high):
         low, high = min(low, high), max(low, high)
         assert decide_bin(low, estimate, 1.5) <= decide_bin(high, estimate, 1.5)
+
+
+class TestBlockDecisions:
+    def test_block_decisions_match_scalar_calls(self):
+        rng = np.random.default_rng(8)
+        mags = rng.uniform(0.0, 30.0, size=(50, 6))
+        estimates = rng.uniform(0.0, 20.0, size=(50, 6))
+        coefficients = np.array([1.0, 1.25, 1.5, 1.5, 1.75, 2.0])
+        mags[7, 2] = 1.5 * estimates[7, 2]  # exactly on the threshold: not strictly above
+        decisions = decide_bin(mags, estimates, coefficients)
+        assert decisions.shape == (50, 6)
+        expected = [
+            [decide_bin(m, e, c) for m, e, c in zip(mags[t], estimates[t], coefficients)]
+            for t in range(50)
+        ]
+        assert decisions.tolist() == expected
+        assert decisions[7, 2] == 0
+        assert decide_event(decisions).tolist() == [decide_event(row) for row in expected]
+
+    def test_block_rejects_non_finite(self):
+        estimates = np.ones((3, 2))
+        estimates[1, 0] = np.inf
+        with pytest.raises(ValueError):
+            decide_bin(np.ones((3, 2)), estimates, np.ones(2))
+
+    def test_empty_block_has_no_events(self):
+        assert decide_event(np.zeros((0, 4), dtype=np.int8)).shape == (0,)
 
 
 class TestDecideEvent:
