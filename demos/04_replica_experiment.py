@@ -15,11 +15,11 @@ print(f"scenario: {scenario.total_frames} frames, seed {scenario.seed}")
 for name, start, end in scenario.phase_bounds():
     print(f"  {name:<12} frames [{start:5d}, {end:5d})")
 
-frames, truth = generate(scenario)
+samples, truth = generate(scenario)
 print(f"ground truth: {len(truth)} events")
 
 config = replica_pipeline_config(scenario)
-results = run_stream(config, frames)
+results = run_stream(config, samples)
 fired = [r.frame_index for r in results if r.event]
 
 # threshold trace: coefficient * floor at the bin closest to firing

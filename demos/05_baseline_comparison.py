@@ -23,25 +23,25 @@ from spectrig.cli import replica_pipeline_config
 from spectrig.spectral import FftPlan, magnitude
 
 scenario = replica_scenario(seed=42)
-frames, truth = generate(scenario)
+samples, truth = generate(scenario)
 total = scenario.total_frames
 warmup = scenario.warmup_frames
 print(f"{total} frames, {len(truth)} true events, floor rises 5x across phases\n")
 
 # --- proposed: adaptive spectral trigger ---
-results = run_stream(replica_pipeline_config(scenario), frames)
+results = run_stream(replica_pipeline_config(scenario), samples)
 proposed = score([r.frame_index for r in results if r.event], truth, total, warmup)
 
 # --- baseline B: fixed spectral threshold, calibrated on the quiet phase ---
 plan = FftPlan(scenario.frame_size)
-mags = np.vstack([magnitude(plan(f.samples), scenario.bins).magnitudes for f in frames])
+mags = np.vstack([magnitude(plan(row), scenario.bins).magnitudes for row in samples])
 quiet = scenario.phases[0].frame_count
 fixed_config = calibrate_fixed_thresholds(mags[:quiet])
 fixed_flags = fixed_spectral_detector(mags, fixed_config)
 fixed = score(np.flatnonzero(fixed_flags), truth, total, warmup)
 
 # --- baseline A: decimated time-domain adaptive threshold ---
-decimated_flags = decimated_adaptive_detector(frames, DecimationConfig(decimation_factor=4))
+decimated_flags = decimated_adaptive_detector(samples, DecimationConfig(decimation_factor=4))
 decimated = score(np.flatnonzero(decimated_flags), truth, total, warmup)
 
 print("detector                     TP    FP    FN      TN")

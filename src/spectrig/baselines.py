@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Frame, SpectralFeatures
-
 
 @dataclass(frozen=True)
 class FixedThresholdConfig:
@@ -55,14 +53,12 @@ class DecimationConfig:
 
 
 def magnitude_matrix(features) -> np.ndarray:
-    """Stack a stream of SpectralFeatures (or rows) into a (frames, bins) array."""
-    rows = [
-        f.magnitudes if isinstance(f, SpectralFeatures) else np.asarray(f, dtype=np.float64)
-        for f in features
-    ]
-    if not rows:
-        return np.empty((0, 0))
-    return np.vstack(rows)
+    """Per-frame magnitude rows as a (frames, bins) float array, in C order so
+    that per-bin sums do not depend on the caller's memory layout."""
+    mags = np.ascontiguousarray(features, dtype=np.float64)
+    if mags.size and mags.ndim != 2:
+        raise ValueError(f"expected a (frames, bins) magnitude array, got shape {mags.shape}")
+    return mags
 
 
 def calibrate_fixed_thresholds(features, sigma_multiple: float = 3.0) -> FixedThresholdConfig:
@@ -93,19 +89,19 @@ def frame_rms(samples):
     return float(rms) if rms.ndim == 0 else rms
 
 
-def decimated_adaptive_detector(frames, config: DecimationConfig) -> np.ndarray:
+def decimated_adaptive_detector(samples, config: DecimationConfig) -> np.ndarray:
     """Time-domain envelope detector that only looks at every D-th frame.
 
     The amplitude baseline is a single-pole tracker over the RMS of the
     frames it actually sees, seeded by the first one (which never fires).
     Skipped frames always report 0 — events falling between inspected
-    frames go unseen, which is this paradigm's known weakness.
+    frames go unseen, which is this paradigm's known weakness. ``samples``
+    is a (frames, N) array.
     """
-    samples = [frame.samples if isinstance(frame, Frame) else frame for frame in frames]
     inspected = samples[:: config.decimation_factor]
     flags = np.zeros(len(samples), dtype=np.int64)
     baseline: float | None = None
-    for i, rms in enumerate(frame_rms(inspected) if inspected else []):
+    for i, rms in enumerate(frame_rms(inspected) if len(inspected) else []):
         if baseline is None:
             baseline = rms
             continue

@@ -56,20 +56,20 @@ def _finite_or_none(value):
 _SERIES_COLUMNS = ("rms", "feature", "threshold", "margin", "event")
 
 
-def _run_proposed(frames, config: PipelineConfig):
-    """Run the pipeline over frames; return (event rows, series columns).
+def _run_proposed(samples, config: PipelineConfig):
+    """Run the pipeline over a (frames, N) sample array; return (event rows, series columns).
 
     The series shows, per frame, the bin with the largest margin. It is
     built block by block, so no (frames, bins) array is kept.
     """
     # An empty column set first, so that an empty stream still gets every column.
     rows, columns, start = [], [(np.empty(0),) * 4 + (np.zeros(0, np.int64),)], 0
-    for block in Pipeline(config).process_blocks(frames):
+    for block in Pipeline(config).process_blocks(samples):
         t = np.arange(len(block))
         pos = np.argmax(block.margins, axis=1)
         feature, margin = block.magnitudes[t, pos], block.margins[t, pos]
-        samples = np.array([f.samples for f in frames[start : start + len(block)]])
-        columns.append((frame_rms(samples), feature, feature - margin, margin, block.events))
+        rms = frame_rms(samples[start : start + len(block)])
+        columns.append((rms, feature, feature - margin, margin, block.events))
         rows += [_event_row(int(i), r) for i, r in zip(block.frame_indices, block.records) if r]
         start += len(block)
     series = {"frame": np.arange(start, dtype=np.int64)}
@@ -90,10 +90,10 @@ def _rows_from_flags(frames_fired, bins, strengths):
     ]
 
 
-def _run_fixed(frames, config: PipelineConfig, calib_frames: int):
-    if calib_frames < 1 or calib_frames > len(frames):
+def _run_fixed(samples, config: PipelineConfig, calib_frames: int):
+    if calib_frames < 1 or calib_frames > len(samples):
         raise ValueError("--calib-frames must be within the frame stream")
-    mags = np.concatenate([b.magnitudes for b in Pipeline(config).process_blocks(frames)])
+    mags = np.concatenate([b.magnitudes for b in Pipeline(config).process_blocks(samples)])
     fixed = calibrate_fixed_thresholds(mags[:calib_frames])
     fired = np.flatnonzero(fixed_spectral_detector(mags, fixed))
     thresholds = fixed.as_array()
@@ -103,8 +103,8 @@ def _run_fixed(frames, config: PipelineConfig, calib_frames: int):
     return _rows_from_flags(fired.tolist(), bins.tolist(), strengths.tolist())
 
 
-def _run_decimated(frames, decimation: DecimationConfig):
-    flags = decimated_adaptive_detector(frames, decimation)
+def _run_decimated(samples, decimation: DecimationConfig):
+    flags = decimated_adaptive_detector(samples, decimation)
     fired = np.flatnonzero(flags).tolist()
     # Time-domain detector: no spectral bin to report.
     return _rows_from_flags(fired, [0] * len(fired), [0.0] * len(fired))
@@ -201,43 +201,39 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     out_dir = io.ensure_dir(args.out_dir)
-    frames, truth = generate(scenario)
-    io.write_frames(out_dir / "frames.bin", frames)
+    samples, truth = generate(scenario)
+    io.write_frames(out_dir / "frames.bin", samples, scenario.sample_rate_hz)
     io.write_truth(out_dir / "truth.csv", truth)
     io.save_scenario(out_dir / "scenario.json", scenario)
-    print(f"generated {len(frames)} frames, {len(truth)} events -> {out_dir}")
+    print(f"generated {len(samples)} frames, {len(truth)} events -> {out_dir}")
     return 0
 
 
-def _resolve_pipeline_config(args, frames) -> PipelineConfig:
+def _resolve_pipeline_config(args, samples, sample_rate_hz: float) -> PipelineConfig:
     if args.config is not None:
         config = io.load_pipeline_config(args.config)
     else:
-        scenario = replica_scenario()
-        if frames[0].size != scenario.frame_size:
-            raise ValueError(
-                "frame size differs from the built-in defaults; pass --config"
-            )
-        config = replica_pipeline_config(
-            dataclasses.replace(scenario, sample_rate_hz=frames[0].sample_rate_hz)
-        )
+        scenario = dataclasses.replace(replica_scenario(), sample_rate_hz=sample_rate_hz)
+        if samples.shape[1] != scenario.frame_size:
+            raise ValueError("frame size differs from the built-in defaults; pass --config")
+        config = replica_pipeline_config(scenario)
     if args.tracker is not None:
         config = dataclasses.replace(config, tracker=args.tracker)
     return config
 
 
 def cmd_detect(args) -> int:
-    frames = io.read_frames(args.frames)
-    config = _resolve_pipeline_config(args, frames)
+    samples, sample_rate_hz = io.read_frames(args.frames)
+    config = _resolve_pipeline_config(args, samples, sample_rate_hz)
     out_dir = io.ensure_dir(args.out_dir)
 
     if args.detector == "proposed":
-        rows, series = _run_proposed(frames, config)
+        rows, series = _run_proposed(samples, config)
         io.write_series(out_dir / "series.csv", series)
     elif args.detector == "fixed":
-        rows = _run_fixed(frames, config, args.calib_frames)
+        rows = _run_fixed(samples, config, args.calib_frames)
     elif args.detector == "decimated":
-        rows = _run_decimated(frames, DecimationConfig(decimation_factor=args.decimation))
+        rows = _run_decimated(samples, DecimationConfig(decimation_factor=args.decimation))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown detector {args.detector}")
 
@@ -289,12 +285,12 @@ def cmd_replica(args) -> int:
     pipeline_config = replica_pipeline_config(scenario, tracker=args.tracker)
     out_dir = io.ensure_dir(args.out_dir)
 
-    frames, truth = generate(scenario)
-    io.write_frames(out_dir / "frames.bin", frames)
+    samples, truth = generate(scenario)
+    io.write_frames(out_dir / "frames.bin", samples, scenario.sample_rate_hz)
     io.write_truth(out_dir / "truth.csv", truth)
     io.save_scenario(out_dir / "scenario.json", scenario)
 
-    rows, series = _run_proposed(frames, pipeline_config)
+    rows, series = _run_proposed(samples, pipeline_config)
     io.write_events(out_dir / "events.csv", rows)
     io.write_series(out_dir / "series.csv", series)
     io.save_pipeline_config(out_dir / "pipeline.json", pipeline_config)

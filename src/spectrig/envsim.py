@@ -11,11 +11,12 @@ what makes multiplicative triggering against a tracked floor well-posed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import BinSet, Frame, is_power_of_two
+from .spectral import BinSet, bin_indices, check_frame_format
 
 GENERATOR_ID = "numpy:PCG64"
 
@@ -28,8 +29,8 @@ class Ramp:
     end: float
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end < 0:
-            raise ValueError("ramp endpoints must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.start, self.end)):
+            raise ValueError("ramp endpoints must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,8 @@ class PhaseSpec:
     def __post_init__(self) -> None:
         if self.frame_count < 1:
             raise ValueError("phase frame_count must be >= 1")
-        if self.broadband_level < 0:
-            raise ValueError("broadband_level must be >= 0")
+        if not math.isfinite(self.broadband_level) or self.broadband_level < 0:
+            raise ValueError("broadband_level must be finite and >= 0")
         if self.event_count < 0:
             raise ValueError("event_count must be >= 0")
 
@@ -67,11 +68,11 @@ class EventSpec:
     min_gap_frames: int = 1
 
     def __post_init__(self) -> None:
-        targets = tuple(int(b) for b in self.target_bins)
+        targets = bin_indices(self.target_bins)
         if not targets:
             raise ValueError("at least one event target bin is required")
-        if self.amplitude_ratio <= 1:
-            raise ValueError("amplitude_ratio must exceed 1")
+        if not math.isfinite(self.amplitude_ratio) or self.amplitude_ratio <= 1:
+            raise ValueError("amplitude_ratio must be finite and exceed 1")
         if self.duration_frames < 1:
             raise ValueError("duration_frames must be >= 1")
         if self.min_gap_frames < 0:
@@ -130,10 +131,7 @@ class ScenarioConfig:
     magnitude_jitter: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.frame_size < 8 or not is_power_of_two(self.frame_size):
-            raise ValueError("frame_size must be a power of two >= 8")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        check_frame_format(self.frame_size, self.sample_rate_hz)
         self.bins.validate_for(self.frame_size)
         if not self.phases:
             raise ValueError("at least one phase is required")
@@ -181,8 +179,8 @@ def _place_events(rng, lo: int, hi: int, count: int, duration: int, gap: int) ->
     return [int(a + i * stride) for i, a in enumerate(anchors)]
 
 
-def generate(scenario: ScenarioConfig) -> tuple[list[Frame], GroundTruth]:
-    """Produce the frame stream and its ground truth, fully seeded.
+def generate(scenario: ScenarioConfig) -> tuple[np.ndarray, GroundTruth]:
+    """Produce the frame stream, a (frames, N) sample array, and its ground truth, fully seeded.
 
     Per frame, interior bins carry magnitude level * (1 + u) with
     u ~ Uniform(-jitter, +jitter) and an independent uniform phase; event
@@ -224,12 +222,8 @@ def generate(scenario: ScenarioConfig) -> tuple[list[Frame], GroundTruth]:
             intervals.append(EventInterval(start_frame=start, end_frame=end, bin=target))
 
     samples = np.fft.irfft(half_spectrum, n=size, axis=1)
-    frames = [
-        Frame(samples=samples[t], frame_index=t, sample_rate_hz=scenario.sample_rate_hz)
-        for t in range(total)
-    ]
     truth = GroundTruth(intervals=tuple(sorted(intervals, key=lambda e: e.start_frame)))
-    return frames, truth
+    return samples, truth
 
 
 REPLICA_BINS = (3, 9, 14, 21, 27, 36, 44, 52)

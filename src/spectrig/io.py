@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +29,7 @@ from .envsim import (
     ScenarioConfig,
 )
 from .pipeline import PipelineConfig
-from .spectral import BinSet, Frame
+from .spectral import BinSet, check_frame_format
 from .trigger import ThresholdConfig
 
 FRAMES_MAGIC = b"STFR"
@@ -36,19 +37,20 @@ FRAMES_VERSION = 1
 _HEADER = struct.Struct("<4sHHfI")
 
 
-def write_frames(path, frames) -> None:
-    frames = list(frames)
-    if not frames:
-        raise ValueError("cannot write an empty frame stream")
-    size = frames[0].size
-    rate = frames[0].sample_rate_hz
-    data = np.vstack([f.samples for f in frames]).astype("<f8")
+def write_frames(path, samples, sample_rate_hz: float) -> None:
+    """Write a (frames, N) sample array; row t is frame t."""
+    samples = np.ascontiguousarray(samples, dtype="<f8")
+    if samples.ndim != 2 or not samples.size:
+        raise ValueError(f"need a non-empty (frames, N) sample array, got shape {samples.shape}")
+    _check_stream(samples, sample_rate_hz)
+    count, size = samples.shape
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(FRAMES_MAGIC, FRAMES_VERSION, size, rate, len(frames)))
-        fh.write(data.tobytes())
+        fh.write(_HEADER.pack(FRAMES_MAGIC, FRAMES_VERSION, size, sample_rate_hz, count))
+        samples.tofile(fh)
 
 
-def read_frames(path) -> list[Frame]:
+def read_frames(path) -> tuple[np.ndarray, float]:
+    """The container's (frames, N) float64 sample array and its sample rate in Hz."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -58,15 +60,21 @@ def read_frames(path) -> list[Frame]:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != FRAMES_VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
-        payload = fh.read()
-    expected = count * size * 8
-    if len(payload) != expected:
-        raise ValueError(f"{path}: expected {expected} sample bytes, found {len(payload)}")
-    samples = np.frombuffer(payload, dtype="<f8").reshape(count, size)
-    return [
-        Frame(samples=samples[t].copy(), frame_index=t, sample_rate_hz=float(rate))
-        for t in range(count)
-    ]
+        expected, found = count * size * 8, os.fstat(fh.fileno()).st_size - _HEADER.size
+        if found != expected:
+            raise ValueError(f"{path}: expected {expected} sample bytes, found {found}")
+        samples = np.fromfile(fh, dtype="<f8", count=count * size).reshape(count, size)
+    _check_stream(samples, rate)
+    return samples, float(rate)
+
+
+def _check_stream(samples: np.ndarray, sample_rate_hz: float) -> None:
+    """Every row passes the checks a Frame makes; the first bad frame is named."""
+    check_frame_format(samples.shape[1], sample_rate_hz)
+    # A row's extremes are finite exactly when all its samples are; no (frames, N) mask needed.
+    bad = np.flatnonzero(~(np.isfinite(samples.min(axis=1)) & np.isfinite(samples.max(axis=1))))
+    if bad.size:
+        raise ValueError(f"frame {bad[0]}: samples must all be finite")
 
 
 def write_truth(path, truth: GroundTruth) -> None:
@@ -218,8 +226,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             warmup_frames=int(data.get("warmup_frames", 67)),
             magnitude_jitter=float(data.get("magnitude_jitter", 0.1)),
         )
-    except KeyError as exc:
-        raise ValueError(f"scenario config missing field: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"scenario config missing field or wrong type: {exc}") from exc
 
 
 def pipeline_config_to_dict(config: PipelineConfig) -> dict:
@@ -260,8 +268,8 @@ def pipeline_config_from_dict(data: dict) -> PipelineConfig:
             warmup_frames=int(data["warmup_frames"]) if "warmup_frames" in data else None,
             window=data.get("window"),
         )
-    except KeyError as exc:
-        raise ValueError(f"pipeline config missing field: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"pipeline config missing field or wrong type: {exc}") from exc
 
 
 def load_json(path) -> dict:

@@ -5,12 +5,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .noisefloor import EmaTracker, NoiseFloorState
-from .spectral import BinSet, FftPlan, Frame, SpectralFeatures, is_power_of_two, magnitude
+from .spectral import BinSet, FftPlan, Frame, SpectralFeatures, check_frame_format, magnitude
 from .trigger import (
     MAX_BIN_ID,
     ThresholdConfig,
@@ -47,10 +46,7 @@ class PipelineConfig:
     window: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.frame_size < 8 or not is_power_of_two(self.frame_size):
-            raise ValueError("frame_size must be a power of two >= 8")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        check_frame_format(self.frame_size, self.sample_rate_hz)
         self.bins.validate_for(self.frame_size)
         if self.bins.bins[-1] > MAX_BIN_ID:
             raise ValueError(f"bin {self.bins.bins[-1]} above the payload bin limit {MAX_BIN_ID}")
@@ -133,7 +129,7 @@ class Pipeline:
         self._coefficients = config.thresholds.as_array()
         self._block_rows = max(1, BLOCK_SAMPLES // config.frame_size)
         self._frames_processed = 0
-        self._last_event_frame: int | None = None
+        self._last_event_frame = 0  # so the first event's delta is its absolute index
 
     @property
     def tracker(self):
@@ -143,69 +139,67 @@ class Pipeline:
     def frames_processed(self) -> int:
         return self._frames_processed
 
-    def process_blocks(self, frames) -> Iterator[BlockResult]:
+    def process_blocks(self, samples) -> Iterator[BlockResult]:
         """The detection core: transform, floor update and decision, in order.
 
-        Frames are stacked into blocks of BLOCK_SAMPLES // frame_size rows,
-        one BlockResult per block, bit-identical to one frame at a time.
-        Estimates update on every frame; events are forced to 0 during the
-        warm-up. An error names the frame's position in ``frames``, and every
-        frame before it has been processed.
+        ``samples`` is a (frames, frame_size) array, cut into row views of
+        BLOCK_SAMPLES // frame_size frames, one BlockResult each, bit-identical
+        to one frame at a time. A frame's index is its position in the
+        pipeline's stream. Estimates update on every frame; events are forced
+        to 0 during the warm-up. An error names the row at fault, and every row
+        before it has been processed.
         """
-        frames, position = iter(frames), 0
-        while block := list(islice(frames, self._block_rows)):
+        samples, size = np.asarray(samples, dtype=np.float64), self.config.frame_size
+        if samples.size and (samples.ndim != 2 or samples.shape[1] != size):
+            raise ValueError(f"expected (frames, {size}) samples, got shape {samples.shape}")
+        for start in range(0, len(samples), self._block_rows):
+            block = samples[start : start + self._block_rows]
             try:
                 yield self._step(block)
             except ValueError:
                 # Redo the block frame by frame, to name the frame at fault.
-                for offset, frame in enumerate(block):
+                for row in range(start, start + len(block)):
                     try:
-                        yield self._step([frame])
+                        yield self._step(samples[row : row + 1])
                     except ValueError as exc:
-                        raise ValueError(f"frame {position + offset}: {exc}") from exc
-            position += len(block)
+                        raise ValueError(f"frame {row}: {exc}") from exc
 
-    def _step(self, frames) -> BlockResult:
-        """The detection core on one stacked block; raises before changing any state."""
-        size = self.config.frame_size
-        for frame in frames:
-            if frame.size != size:
-                raise ValueError(f"frame size {frame.size} does not match configured {size}")
-        samples = np.array([frame.samples for frame in frames])
+    def _step(self, samples: np.ndarray) -> BlockResult:
+        """The detection core on one block of rows; raises before changing any state."""
         if self.config.window is not None:
             samples = samples * self.config.window
-        indices = [frame.frame_index for frame in frames]
-        mags = magnitude(self._plan(samples), self.config.bins, indices[0]).magnitudes
+        first = self._frames_processed
+        mags = magnitude(self._plan(samples), self.config.bins, first).magnitudes
 
         estimates = self._tracker.update_all(mags)
         margins = mags - self._coefficients * estimates
         decisions = decide_bin(mags, estimates, self._coefficients)
         events = decide_event(decisions)
-        events[: max(self.config.warmup_frames - self._frames_processed, 0)] = 0
+        events[: max(self.config.warmup_frames - first, 0)] = 0
 
-        records = [None] * len(frames)
-        for t in events.nonzero()[0]:
+        records = [None] * len(samples)
+        for t in events.nonzero()[0].tolist():
             pos = first_firing_bin(decisions[t])
             estimate = estimates[t, pos]
             strength = float(mags[t, pos] / estimate) if estimate > 0 else math.inf
-            last, self._last_event_frame = self._last_event_frame, indices[t]
-            delta = indices[t] if last is None else indices[t] - last
+            delta, self._last_event_frame = first + t - self._last_event_frame, first + t
             records[t] = TriggerEvent(delta, self.config.bins.bins[pos], strength)
-        self._frames_processed += len(frames)
-        return BlockResult(np.array(indices), mags, estimates, margins, events, records)
+        self._frames_processed += len(samples)
+        indices = np.arange(first, self._frames_processed)
+        return BlockResult(indices, mags, estimates, margins, events, records)
 
     def process_frame(self, frame: Frame) -> FrameResult:
-        """Run one frame through the detection core, as a block of one."""
-        return self._step([frame]).frame_result(0)
+        """Run one frame through the detection core, as a block of one row."""
+        return self._step(frame.samples[None]).frame_result(0)
 
-    def run_stream(self, frames) -> list[FrameResult]:
-        """Process frames in order; per-frame errors carry the frame position."""
-        return [b.frame_result(t) for b in self.process_blocks(frames) for t in range(len(b))]
+    def run_stream(self, samples) -> list[FrameResult]:
+        """Process a (frames, frame_size) array in order; errors carry the frame's row."""
+        return [b.frame_result(t) for b in self.process_blocks(samples) for t in range(len(b))]
 
 
-def run_stream(config: PipelineConfig, frames) -> list[FrameResult]:
-    """Convenience wrapper: fresh pipeline, frames processed sequentially."""
-    return Pipeline(config).run_stream(frames)
+def run_stream(config: PipelineConfig, samples) -> list[FrameResult]:
+    """Convenience wrapper: fresh pipeline, a (frames, frame_size) array processed in order."""
+    return Pipeline(config).run_stream(samples)
 
 
 def latency_budget(

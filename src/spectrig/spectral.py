@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -10,6 +11,21 @@ import numpy as np
 
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def check_frame_format(size: int, sample_rate_hz: float) -> None:
+    """Frames hold a power of two (>= 8) samples, for the radix-2 transform, at a rate > 0."""
+    if size < 8 or not is_power_of_two(size):
+        raise ValueError(f"frame size must be a power of two >= 8, got {size}")
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValueError(f"sample rate must be finite and positive, got {sample_rate_hz}")
+
+
+def bin_indices(values) -> tuple[int, ...]:
+    """Bin indices as ints; a fractional or non-finite value is rejected, not truncated."""
+    if not all(float(v).is_integer() for v in values):
+        raise ValueError(f"bin indices must be integers, got {tuple(values)}")
+    return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,16 +44,11 @@ class Frame:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("frame samples must be one-dimensional")
-        if samples.size < 8 or not is_power_of_two(samples.size):
-            raise ValueError(
-                f"frame size must be a power of two >= 8, got {samples.size}"
-            )
+        check_frame_format(samples.size, self.sample_rate_hz)
         if not np.all(np.isfinite(samples)):
             raise ValueError("frame samples must all be finite")
         if self.frame_index < 0:
             raise ValueError("frame_index must be non-negative")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -52,7 +63,7 @@ class BinSet:
     bins: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bins = tuple(int(b) for b in self.bins)
+        bins = bin_indices(self.bins)
         if not bins:
             raise ValueError("at least one monitored bin is required")
         if bins[0] < 0:

@@ -62,11 +62,12 @@ def naive_pipeline_events(
     tracker: str = "median",
     alpha: float = 0.95,
 ) -> list[int]:
-    """Frame indices with a system event, via naive DFT and recomputed medians
-    (or, with tracker "ema", the exponential recursion)."""
+    """Frame indices (row positions of a (frames, N) array) with a system event,
+    via naive DFT and recomputed medians (or, with tracker "ema", the
+    exponential recursion)."""
     magnitudes = {k: [] for k in bins}
     for frame in frames:
-        spectrum = naive_dft(frame.samples)
+        spectrum = naive_dft(frame)
         for k in bins:
             magnitudes[k].append(abs(spectrum[k]))
     if tracker == "ema":
@@ -80,5 +81,5 @@ def naive_pipeline_events(
         if t < warmup:
             continue
         if any(magnitudes[k][t] > coefficient * estimates[k][t] for k in bins):
-            events.append(frame.frame_index)
+            events.append(t)
     return events

@@ -164,10 +164,10 @@ def test_criterion_7_baseline_ordering(replica_run):
 
     # (a) fixed threshold calibrated on the quiet phase false-alarms later
     scenario = replica_scenario(seed=42)
-    frames, truth = generate(scenario)
+    samples, truth = generate(scenario)
     plan = FftPlan(scenario.frame_size)
     mags = np.vstack(
-        [magnitude(plan(f.samples), scenario.bins).magnitudes for f in frames]
+        [magnitude(plan(row), scenario.bins).magnitudes for row in samples]
     )
     fixed = calibrate_fixed_thresholds(mags[: scenario.phases[0].frame_count])
     flags = fixed_spectral_detector(mags, fixed)

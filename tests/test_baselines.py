@@ -13,7 +13,7 @@ from spectrig.baselines import (
 )
 from spectrig.envsim import EventSpec, PhaseSpec, Ramp, ScenarioConfig, generate
 from spectrig.pipeline import PipelineConfig, run_stream
-from spectrig.spectral import BinSet, FftPlan, Frame, magnitude
+from spectrig.spectral import BinSet, FftPlan, magnitude
 
 
 def three_phase_scenario(seed=21) -> ScenarioConfig:
@@ -33,9 +33,9 @@ def three_phase_scenario(seed=21) -> ScenarioConfig:
     )
 
 
-def features_of(frames, bins):
-    plan = FftPlan(frames[0].size)
-    return np.vstack([magnitude(plan(f.samples), bins).magnitudes for f in frames])
+def features_of(samples, bins):
+    plan = FftPlan(samples.shape[1])
+    return np.vstack([magnitude(plan(row), bins).magnitudes for row in samples])
 
 
 class TestFixedThreshold:
@@ -103,10 +103,7 @@ class TestDecimatedDetector:
         streams = np.tile(base, (total, 1))
         for t in event_frames:
             streams[t] *= boost
-        return [
-            Frame(samples=streams[t], frame_index=t, sample_rate_hz=500.0)
-            for t in range(total)
-        ]
+        return streams
 
     def test_no_decimation_detects_all_large_events(self):
         events = [40, 90, 150]

@@ -1,6 +1,7 @@
 """End-to-end command-line flows on temporary directories."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from spectrig import io
 from spectrig import pipeline as pipeline_module
 from spectrig.cli import main
 from spectrig.envsim import replica_scenario
-from spectrig.spectral import Frame
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,11 @@ class TestReplica:
         assert len(series["frame"]) == scenario.total_frames
         assert set(series) == {"frame", "rms", "feature", "threshold", "margin", "event"}
 
+    def test_series_rms_is_each_frames_rms(self, replica_dir):
+        samples, _ = io.read_frames(replica_dir / "frames.bin")
+        series = io.read_series(replica_dir / "series.csv")
+        assert np.array_equal(series["rms"], np.sqrt(np.mean(samples**2, axis=1)))
+
     def test_report_echoes_reproducible_config(self, replica_dir):
         report = read_json(replica_dir / "report.json")
         assert report["config"]["scenario"]["seed"] == 42
@@ -61,10 +66,10 @@ class TestReplica:
         assert io.scenario_from_dict(report["config"]["scenario"]) == replica_scenario(42)
 
     def test_emitted_files_reload_through_own_parsers(self, replica_dir):
-        frames = io.read_frames(replica_dir / "frames.bin")
+        samples, _ = io.read_frames(replica_dir / "frames.bin")
         truth = io.read_truth(replica_dir / "truth.csv")
         events = io.read_events(replica_dir / "events.csv")
-        assert len(frames) == 6784
+        assert len(samples) == 6784
         assert len(truth) == 139
         assert len(events) > 0
 
@@ -189,11 +194,7 @@ class TestErrors:
         self, tmp_path, capsys, monkeypatch
     ):
         rng = np.random.default_rng(1)
-        frames = [
-            Frame(samples=rng.normal(size=1024), frame_index=i, sample_rate_hz=8000.0)
-            for i in range(20)
-        ]
-        io.write_frames(tmp_path / "frames.bin", frames)
+        io.write_frames(tmp_path / "frames.bin", rng.normal(size=(20, 1024)), 8000.0)
         io.dump_json(
             tmp_path / "pipeline.json",
             {"frame_size": 1024, "sample_rate_hz": 8000.0, "bins": [37, 300]},
@@ -213,6 +214,40 @@ class TestErrors:
         stderr = capsys.readouterr().err
         assert stderr.startswith("error:") and "300" in stderr and "255" in stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "detect"])
+    def test_wrongly_typed_json_field_is_an_error_line(self, replica_dir, tmp_path, capsys, command):
+        if command == "generate":
+            document = {**read_json(replica_dir / "scenario.json"), "phases": 5}
+            args = ["generate"]
+        else:
+            document = {**read_json(replica_dir / "pipeline.json"), "bins": 5}
+            args = ["detect", "--frames", str(replica_dir / "frames.bin")]
+        io.dump_json(tmp_path / "config.json", document)
+        out = tmp_path / "out"
+        assert main(args + ["--config", str(tmp_path / "config.json"), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_zero_frame_container_without_config(self, replica_dir, tmp_path):
+        """A header-only frames.bin gives the same empty outputs with and without --config."""
+        frames = tmp_path / "frames.bin"
+        frames.write_bytes(struct.pack("<4sHHfI", b"STFR", 1, 128, 1000.0, 0))
+        default, configured = tmp_path / "default", tmp_path / "configured"
+        assert main(["detect", "--frames", str(frames), "--out-dir", str(default)]) == 0
+        assert main([
+            "detect",
+            "--frames", str(frames),
+            "--config", str(replica_dir / "pipeline.json"),
+            "--out-dir", str(configured),
+        ]) == 0
+        for name in ("events.csv", "series.csv", "pipeline.json"):
+            assert (default / name).read_bytes() == (configured / name).read_bytes(), name
+        assert io.read_events(default / "events.csv") == []
+        assert set(io.read_series(default / "series.csv")) == {
+            "frame", "rms", "feature", "threshold", "margin", "event"
+        }
+        assert len(io.read_series(default / "series.csv")["frame"]) == 0
 
     def test_unknown_detector_rejected_by_parser(self, replica_dir, tmp_path):
         with pytest.raises(SystemExit):

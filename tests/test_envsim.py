@@ -1,5 +1,7 @@
 """Scenario generator: determinism, structure, energy placement."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from spectrig.envsim import (
     EventSpec,
     GroundTruth,
     PhaseSpec,
+    Ramp,
     ScenarioConfig,
     generate,
     replica_scenario,
 )
+from spectrig.pipeline import PipelineConfig
 from spectrig.spectral import BinSet, FftPlan
 
 
@@ -48,6 +52,43 @@ class TestValidation:
                 bins=BinSet((0, 3)), events=EventSpec(target_bins=(0,), amplitude_ratio=5.0)
             )
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PipelineConfig(frame_size=64, sample_rate_hz=math.nan, bins=BinSet((3,))),
+            lambda: small_scenario(sample_rate_hz=math.nan),
+            lambda: Ramp(math.nan, 1.0),
+            lambda: Ramp(0.0, math.inf),
+            lambda: PhaseSpec("loud", 10, broadband_level=math.inf),
+            lambda: EventSpec(target_bins=(3,), amplitude_ratio=math.nan),
+            lambda: EventSpec(target_bins=(3,), amplitude_ratio=math.inf),
+        ],
+        ids=[
+            "pipeline-rate", "scenario-rate", "ramp-start", "ramp-end", "phase-level",
+            "amplitude-nan", "amplitude-inf",
+        ],
+    )
+    def test_non_finite_values_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BinSet((3.7, 9)),
+            lambda: BinSet((3, math.inf)),
+            lambda: EventSpec(target_bins=(3, 9.5), amplitude_ratio=5.0),
+        ],
+        ids=["bin-set", "bin-set-inf", "event-targets"],
+    )
+    def test_fractional_bins_rejected(self, build):
+        with pytest.raises(ValueError, match="integers"):
+            build()
+
+    def test_integral_float_bins_accepted(self):
+        assert BinSet((3.0, 9)).bins == (3, 9)
+        assert EventSpec(target_bins=(9.0,), amplitude_ratio=5.0).target_bins == (9,)
+
     def test_truth_rejects_overlap(self):
         with pytest.raises(ValueError):
             GroundTruth(
@@ -76,12 +117,12 @@ class TestDeterminism:
         frames_b, truth_b = generate(scenario)
         assert truth_a == truth_b
         for fa, fb in zip(frames_a, frames_b):
-            assert np.array_equal(fa.samples, fb.samples)
+            assert np.array_equal(fa, fb)
 
     def test_different_seed_differs(self):
         frames_a, _ = generate(small_scenario(seed=1))
         frames_b, _ = generate(small_scenario(seed=2))
-        assert not np.array_equal(frames_a[0].samples, frames_b[0].samples)
+        assert not np.array_equal(frames_a[0], frames_b[0])
 
     def test_single_event_placement_reproducible(self):
         scenario = small_scenario(seed=5, event_count=1)
@@ -96,7 +137,7 @@ class TestStructure:
         scenario = small_scenario(event_count=0, level=0.0)
         frames, truth = generate(scenario)
         assert len(truth) == 0
-        assert all(np.all(f.samples == 0.0) for f in frames)
+        assert all(np.all(f == 0.0) for f in frames)
 
     def test_events_respect_warmup_and_gaps(self):
         scenario = small_scenario(seed=3, event_count=12)
@@ -108,8 +149,10 @@ class TestStructure:
             assert b.start_frame - a.end_frame >= scenario.events.min_gap_frames
 
     def test_frame_indices_are_sequential(self):
-        frames, _ = generate(small_scenario(frames=50, event_count=0))
-        assert [f.frame_index for f in frames] == list(range(50))
+        samples, _ = generate(small_scenario(frames=50, event_count=0))
+        # Row t is frame t: one C-ordered float64 row per frame, in order.
+        assert samples.shape == (50, 64)
+        assert samples.dtype == np.float64 and samples.flags.c_contiguous
 
 
 class TestReplicaScenario:
@@ -137,7 +180,7 @@ class TestReplicaScenario:
 
         def mean_magnitude(start, end):
             mags = [
-                abs(plan(frames[t].samples)[bin_index])
+                abs(plan(frames[t])[bin_index])
                 for t in range(start, end)
                 if t not in event_frames
             ]
@@ -153,6 +196,6 @@ class TestReplicaScenario:
         plan = FftPlan(scenario.frame_size)
         monitored = np.asarray(scenario.bins.bins)
         for interval in list(truth)[:10]:
-            spectrum = plan(frames[interval.start_frame].samples)
+            spectrum = plan(frames[interval.start_frame])
             excess = np.abs(spectrum[monitored])
             assert monitored[int(np.argmax(excess))] == interval.bin

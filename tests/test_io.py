@@ -1,6 +1,7 @@
 """Round-trips for every on-disk format the tool emits."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,33 +17,36 @@ from spectrig.envsim import (
     replica_scenario,
 )
 from spectrig.pipeline import PipelineConfig
-from spectrig.spectral import BinSet, Frame
+from spectrig.spectral import BinSet
 from spectrig.trigger import ThresholdConfig
 
 
-def some_frames(count=5, n=16, rate=250.0):
+def some_frames(count=5, n=16):
     rng = np.random.default_rng(3)
-    return [
-        Frame(samples=rng.normal(size=n), frame_index=i, sample_rate_hz=rate)
-        for i in range(count)
-    ]
+    return rng.normal(size=(count, n))
+
+
+def raw_container(path, samples, rate=250.0):
+    """A container written byte by byte, bypassing write_frames's checks."""
+    samples = np.asarray(samples, dtype="<f8")
+    count, size = samples.shape
+    path.write_bytes(struct.pack("<4sHHfI", b"STFR", 1, size, rate, count) + samples.tobytes())
 
 
 class TestFrameContainer:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "frames.bin"
         frames = some_frames()
-        io.write_frames(path, frames)
-        loaded = io.read_frames(path)
+        io.write_frames(path, frames, 250.0)
+        loaded, rate = io.read_frames(path)
         assert len(loaded) == len(frames)
         for original, restored in zip(frames, loaded):
-            assert np.array_equal(original.samples, restored.samples)
-            assert restored.frame_index == original.frame_index
-            assert restored.sample_rate_hz == 250.0
+            assert np.array_equal(original, restored)
+        assert rate == 250.0
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "frames.bin"
-        io.write_frames(path, some_frames(count=3, n=16))
+        io.write_frames(path, some_frames(count=3, n=16), 250.0)
         header = path.read_bytes()[:16]
         magic, version, size, rate, count = struct.unpack("<4sHHfI", header)
         assert magic == b"STFR"
@@ -54,7 +58,7 @@ class TestFrameContainer:
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "frames.bin"
-        io.write_frames(path, some_frames())
+        io.write_frames(path, some_frames(), 250.0)
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
@@ -63,14 +67,62 @@ class TestFrameContainer:
 
     def test_rejects_truncation(self, tmp_path):
         path = tmp_path / "frames.bin"
-        io.write_frames(path, some_frames())
+        io.write_frames(path, some_frames(), 250.0)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="sample bytes"):
             io.read_frames(path)
 
     def test_rejects_empty_stream(self, tmp_path):
         with pytest.raises(ValueError):
-            io.write_frames(tmp_path / "frames.bin", [])
+            io.write_frames(tmp_path / "frames.bin", [], 250.0)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        io.write_frames(path, some_frames(), 250.0)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="sample bytes"):
+            io.read_frames(path)
+
+    def test_zero_frame_container_is_an_empty_array(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        raw_container(path, np.empty((0, 16)))
+        samples, rate = io.read_frames(path)
+        assert samples.shape == (0, 16) and rate == 250.0
+
+    @pytest.mark.parametrize(
+        "size, rate, match",
+        [(12, 250.0, "power of two"), (4, 250.0, "power of two"), (16, 0.0, "sample rate")],
+    )
+    def test_rejects_what_a_frame_rejects(self, tmp_path, size, rate, match):
+        path = tmp_path / "frames.bin"
+        raw_container(path, np.zeros((2, size)), rate=rate)
+        with pytest.raises(ValueError, match=match):
+            io.read_frames(path)
+        with pytest.raises(ValueError, match=match):
+            io.write_frames(tmp_path / "out.bin", np.zeros((2, size)), rate)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_names_the_first_bad_frame(self, tmp_path, bad):
+        samples = some_frames(count=6)
+        samples[3, 5] = samples[4, 0] = bad
+        path = tmp_path / "frames.bin"
+        raw_container(path, samples)
+        with pytest.raises(ValueError, match="frame 3: samples must all be finite"):
+            io.read_frames(path)
+        with pytest.raises(ValueError, match="frame 3: samples must all be finite"):
+            io.write_frames(tmp_path / "out.bin", samples, 250.0)
+
+    def test_read_holds_one_copy_of_the_samples(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        io.write_frames(path, some_frames(count=1000, n=512), 250.0)
+        tracemalloc.start()
+        try:
+            samples, _ = io.read_frames(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.dtype == np.float64 and samples.flags.c_contiguous
+        assert peak <= 1.1 * samples.nbytes
 
 
 class TestCsvLogs:

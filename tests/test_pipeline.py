@@ -71,9 +71,9 @@ class TestProcessFrame:
                 delta[target] = 2 * plan(background)[target]
                 delta[n - target] = np.conj(delta[target])
                 samples = samples + np.fft.ifft(delta).real
-            frames.append(Frame(samples=samples, frame_index=i, sample_rate_hz=1000.0))
+            frames.append(samples)
 
-        results = run_stream(config, frames)
+        results = run_stream(config, np.array(frames))
         fired = [r.frame_index for r in results if r.event]
         assert fired == [spike_at]
         record = results[spike_at].event_record
@@ -163,13 +163,13 @@ class TestRunStream:
         rng = np.random.default_rng(9)
         n = 32
         config = config_for([3, 9], n=n, fast=2, slow=4)
-        frames = [
-            Frame(samples=rng.normal(size=n), frame_index=i, sample_rate_hz=1000.0)
-            for i in range(120)
-        ]
+        frames = rng.normal(size=(120, n))
         batch = run_stream(config, frames)
         pipeline = Pipeline(config_for([3, 9], n=n, fast=2, slow=4))
-        sequential = [pipeline.process_frame(f) for f in frames]
+        sequential = [
+            pipeline.process_frame(Frame(samples=f, frame_index=i, sample_rate_hz=1000.0))
+            for i, f in enumerate(frames)
+        ]
         for a, b in zip(batch, sequential):
             assert a.frame_index == b.frame_index
             assert np.array_equal(a.features.magnitudes, b.features.magnitudes)
@@ -180,17 +180,14 @@ class TestRunStream:
 
     def test_error_carries_frame_position(self):
         config = config_for([3])
-        good = Frame(samples=np.zeros(32), frame_index=0, sample_rate_hz=1000.0)
-        bad = Frame(samples=np.zeros(64), frame_index=1, sample_rate_hz=1000.0)
+        frames = np.zeros((2, 32))
+        frames[1, 7] = np.nan  # frame 1 is bad
         with pytest.raises(ValueError, match="frame 1"):
-            run_stream(config, [good, bad])
+            run_stream(config, frames)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(11)
-        frames = [
-            Frame(samples=rng.normal(size=32), frame_index=i, sample_rate_hz=1000.0)
-            for i in range(80)
-        ]
+        frames = rng.normal(size=(80, 32))
         first = run_stream(config_for([3, 9], fast=2, slow=4), frames)
         second = run_stream(config_for([3, 9], fast=2, slow=4), frames)
         for a, b in zip(first, second):
@@ -199,7 +196,7 @@ class TestRunStream:
             assert a.event == b.event
 
 
-def noisy_stream(seed: int, count: int, n: int = 16, bins=(1, 3, 6)) -> list[Frame]:
+def noisy_stream(seed: int, count: int, n: int = 16, bins=(1, 3, 6)) -> np.ndarray:
     """Noise whose level drifts, with strong tones on monitored bins now and then."""
     rng = np.random.default_rng(seed)
     level = 1.0 + np.cumsum(rng.uniform(-0.2, 0.2, size=count)).clip(-0.5, 3.0)
@@ -209,8 +206,8 @@ def noisy_stream(seed: int, count: int, n: int = 16, bins=(1, 3, 6)) -> list[Fra
         samples = rng.normal(size=n) * level[i]
         if rng.random() < 0.2:
             samples += 6.0 * level[i] * np.sin(2 * np.pi * rng.choice(bins) * t / n + rng.random())
-        frames.append(Frame(samples=samples, frame_index=i, sample_rate_hz=1000.0))
-    return frames
+        frames.append(samples)
+    return np.array(frames)
 
 
 def stacked(results):
@@ -255,7 +252,10 @@ class TestBlockCore:
         ]
         assert all(len(block) <= rows for block in blocks)
         stepped, _ = fresh()
-        expected = stacked([stepped.process_frame(frame) for frame in frames])
+        expected = stacked([
+            stepped.process_frame(Frame(samples=f, frame_index=i, sample_rate_hz=1000.0))
+            for i, f in enumerate(frames)
+        ])
         got = (
             np.concatenate([b.magnitudes for b in blocks]),
             np.concatenate([b.estimates for b in blocks]),
@@ -268,7 +268,7 @@ class TestBlockCore:
         assert got[3:] == expected[3:]
         assert chunked.frames_processed == stepped.frames_processed == count
 
-        fired = [frame.frame_index for frame, event in zip(frames, got[3]) if event]
+        fired = [t for t, event in enumerate(got[3]) if event]
         mags, estimates = got[0], got[1]
         for number, t in enumerate(fired):
             record = got[4][t]
@@ -284,24 +284,44 @@ class TestBlockCore:
     def test_error_inside_a_block_names_the_frame(self):
         config = config_for([3, 9], n=32, fast=2, slow=4)
         rng = np.random.default_rng(4)
-        frames = [
-            Frame(samples=rng.normal(size=32), frame_index=i, sample_rate_hz=1000.0)
-            for i in range(40)
-        ]
-        bad = Frame(samples=np.zeros(64), frame_index=23, sample_rate_hz=1000.0)
+        frames = rng.normal(size=(40, 32))
+        frames[23, 5] = np.inf  # the bad frame
         with mock.patch.object(pipeline_module, "BLOCK_SAMPLES", 32 * 8):
             pipeline = Pipeline(config)  # blocks of 8: frame 23 is the last of the third
-        with pytest.raises(ValueError, match="frame 23: frame size 64"):
-            list(pipeline.process_blocks(frames[:23] + [bad] + frames[24:]))
+        with pytest.raises(ValueError, match="frame 23: samples must all be finite"):
+            list(pipeline.process_blocks(frames))
         # every frame before the bad one was processed, none after it
         assert pipeline.frames_processed == 23
         reference = Pipeline(config)
         list(reference.process_blocks(frames[:23]))
-        after = pipeline.process_frame(frames[24])
-        assert np.array_equal(after.estimates, reference.process_frame(frames[24]).estimates)
+        next_frame = Frame(samples=frames[24], frame_index=24, sample_rate_hz=1000.0)
+        after = pipeline.process_frame(next_frame)
+        assert np.array_equal(after.estimates, reference.process_frame(next_frame).estimates)
 
     def test_empty_stream_gives_no_block(self):
         assert list(Pipeline(config_for([3])).process_blocks([])) == []
+        assert list(Pipeline(config_for([3])).process_blocks(np.empty((0, 32)))) == []
+
+    @pytest.mark.parametrize("shape", [(3, 64), (3, 16), (32,), (2, 3, 32)])
+    def test_wrong_shape_rejected_before_any_frame(self, shape):
+        pipeline = Pipeline(config_for([3], n=32))
+        with pytest.raises(ValueError, match=r"expected \(frames, 32\) samples"):
+            list(pipeline.process_blocks(np.ones(shape)))
+        assert pipeline.frames_processed == 0
+
+    def test_frame_index_is_stream_position(self):
+        """Indices and payload deltas count frames through the pipeline, across calls."""
+        n, target = 32, 4
+        config = config_for([target], n=n, tracker="ema", ema_alpha=0.9, warmup_frames=0)
+        pipeline = Pipeline(config)
+        quiet, loud = tone_frame(n, target, 1.0, index=90), tone_frame(n, target, 4.0, index=7)
+        assert pipeline.process_frame(quiet).frame_index == 0
+        stream = np.array([quiet.samples, loud.samples, quiet.samples, quiet.samples, loud.samples])
+        (block,) = pipeline.process_blocks(stream)
+        assert block.frame_indices.tolist() == [1, 2, 3, 4, 5]
+        assert block.events.tolist() == [0, 1, 0, 0, 1]
+        assert [r.frame_delta for r in block.records if r] == [2, 3]
+        assert pipeline.process_frame(loud).frame_index == 6
 
     def test_block_rows_follow_frame_size(self):
         assert Pipeline(config_for([3], n=128))._block_rows == pipeline_module.BLOCK_SAMPLES // 128
