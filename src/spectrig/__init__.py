@@ -26,6 +26,7 @@ from .envsim import (
     PhaseSpec,
     Ramp,
     ScenarioConfig,
+    SyntheticStream,
     generate,
     replica_scenario,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "Ramp",
     "ScenarioConfig",
     "SpectralFeatures",
+    "SyntheticStream",
     "ThresholdConfig",
     "TrafficStats",
     "TriggerEvent",

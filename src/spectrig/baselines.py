@@ -8,6 +8,7 @@ does, which is exactly what the comparison is meant to expose.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,15 +97,23 @@ def decimated_adaptive_detector(samples, config: DecimationConfig) -> np.ndarray
     frames it actually sees, seeded by the first one (which never fires).
     Skipped frames always report 0 — events falling between inspected
     frames go unseen, which is this paradigm's known weakness. ``samples``
-    is a (frames, N) array.
+    is a (frames, N) array, or an iterator of (rows, N) chunks of one
+    stream in order; the inspected frames are every D-th of the stream,
+    across chunk edges.
     """
-    inspected = samples[:: config.decimation_factor]
-    flags = np.zeros(len(samples), dtype=np.int64)
+    step = config.decimation_factor
+    chunks = samples if isinstance(samples, Iterator) else [np.asarray(samples)]
+    inspected_rms, total = [], 0
+    for chunk in filter(len, chunks):
+        # The first inspected frame of this chunk is the first multiple of D at or after `total`.
+        inspected_rms.append(frame_rms(chunk[-total % step :: step]))
+        total += len(chunk)
+    flags = np.zeros(total, dtype=np.int64)
     baseline: float | None = None
-    for i, rms in enumerate(frame_rms(inspected) if len(inspected) else []):
+    for i, rms in enumerate(np.concatenate(inspected_rms) if total else []):
         if baseline is None:
             baseline = rms
             continue
-        flags[i * config.decimation_factor] = rms > config.threshold_ratio * baseline
+        flags[i * step] = rms > config.threshold_ratio * baseline
         baseline = config.alpha * baseline + (1.0 - config.alpha) * rms
     return flags

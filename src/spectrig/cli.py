@@ -19,7 +19,7 @@ from .baselines import (
     fixed_spectral_detector,
     frame_rms,
 )
-from .envsim import GENERATOR_ID, ScenarioConfig, generate, replica_scenario
+from .envsim import GENERATOR_ID, ScenarioConfig, SyntheticStream, replica_scenario
 from .evaluation import (
     derive_metrics,
     per_phase_scores,
@@ -56,23 +56,28 @@ def _finite_or_none(value):
 _SERIES_COLUMNS = ("rms", "feature", "threshold", "margin", "event")
 
 
-def _run_proposed(samples, config: PipelineConfig):
-    """Run the pipeline over a (frames, N) sample array; return (event rows, series columns).
+def _run_proposed(chunks, config: PipelineConfig):
+    """Run one pipeline over a stream of (rows, N) sample chunks; return (event rows, series columns).
 
     The series shows, per frame, the bin with the largest margin. It is
     built block by block, so no (frames, bins) array is kept.
     """
+    pipeline = Pipeline(config)
     # An empty column set first, so that an empty stream still gets every column.
-    rows, columns, start = [], [(np.empty(0),) * 4 + (np.zeros(0, np.int64),)], 0
-    for block in Pipeline(config).process_blocks(samples):
-        t = np.arange(len(block))
-        pos = np.argmax(block.margins, axis=1)
-        feature, margin = block.magnitudes[t, pos], block.margins[t, pos]
-        rms = frame_rms(samples[start : start + len(block)])
-        columns.append((rms, feature, feature - margin, margin, block.events))
-        rows += [_event_row(int(i), r) for i, r in zip(block.frame_indices, block.records) if r]
-        start += len(block)
-    series = {"frame": np.arange(start, dtype=np.int64)}
+    rows, columns = [], [(np.empty(0),) * 4 + (np.zeros(0, np.int64),)]
+    for chunk in chunks:
+        parts, start = [], 0
+        for block in pipeline.process_blocks(chunk):
+            t = np.arange(len(block))
+            pos = np.argmax(block.margins, axis=1)
+            feature, margin = block.magnitudes[t, pos], block.margins[t, pos]
+            rms = frame_rms(chunk[start : start + len(block)])
+            parts.append((rms, feature, feature - margin, margin, block.events))
+            rows += [_event_row(int(i), r) for i, r in zip(block.frame_indices, block.records) if r]
+            start += len(block)
+        # One array per column and chunk: arrays per block would add ~150 bytes each.
+        columns.append(tuple(map(np.concatenate, zip(*parts))))
+    series = {"frame": np.arange(pipeline.frames_processed, dtype=np.int64)}
     series.update(zip(_SERIES_COLUMNS, map(np.concatenate, zip(*columns))))
     return rows, series
 
@@ -90,10 +95,11 @@ def _rows_from_flags(frames_fired, bins, strengths):
     ]
 
 
-def _run_fixed(samples, config: PipelineConfig, calib_frames: int):
-    if calib_frames < 1 or calib_frames > len(samples):
+def _run_fixed(chunks, config: PipelineConfig, calib_frames: int, frame_count: int):
+    if calib_frames < 1 or calib_frames > frame_count:
         raise ValueError("--calib-frames must be within the frame stream")
-    mags = np.concatenate([b.magnitudes for b in Pipeline(config).process_blocks(samples)])
+    pipeline = Pipeline(config)
+    mags = np.concatenate([b.magnitudes for c in chunks for b in pipeline.process_blocks(c)])
     fixed = calibrate_fixed_thresholds(mags[:calib_frames])
     fired = np.flatnonzero(fixed_spectral_detector(mags, fixed))
     thresholds = fixed.as_array()
@@ -103,8 +109,8 @@ def _run_fixed(samples, config: PipelineConfig, calib_frames: int):
     return _rows_from_flags(fired.tolist(), bins.tolist(), strengths.tolist())
 
 
-def _run_decimated(samples, decimation: DecimationConfig):
-    flags = decimated_adaptive_detector(samples, decimation)
+def _run_decimated(chunks, decimation: DecimationConfig):
+    flags = decimated_adaptive_detector(chunks, decimation)
     fired = np.flatnonzero(flags).tolist()
     # Time-domain detector: no spectral bin to report.
     return _rows_from_flags(fired, [0] * len(fired), [0.0] * len(fired))
@@ -196,25 +202,40 @@ def _print_metrics(metrics: dict, fmt: str) -> None:
             print(f"{key},{value}")
 
 
+def _frames_writer(out_dir: Path, scenario: ScenarioConfig) -> io.FrameWriter:
+    return io.FrameWriter(
+        out_dir / "frames.bin", scenario.frame_size, scenario.sample_rate_hz, scenario.total_frames
+    )
+
+
+def _appended(writer: io.FrameWriter, chunks):
+    """Each chunk in turn, once it is appended to the container being written."""
+    for chunk in chunks:
+        io.write_frames(writer, chunk)
+        yield chunk
+
+
 def cmd_generate(args) -> int:
     scenario = io.load_scenario(args.config)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     out_dir = io.ensure_dir(args.out_dir)
-    samples, truth = generate(scenario)
-    io.write_frames(out_dir / "frames.bin", samples, scenario.sample_rate_hz)
-    io.write_truth(out_dir / "truth.csv", truth)
+    stream = SyntheticStream(scenario)
+    with _frames_writer(out_dir, scenario) as writer:
+        for chunk in stream.chunks():
+            io.write_frames(writer, chunk)
+    io.write_truth(out_dir / "truth.csv", stream.truth)
     io.save_scenario(out_dir / "scenario.json", scenario)
-    print(f"generated {len(samples)} frames, {len(truth)} events -> {out_dir}")
+    print(f"generated {scenario.total_frames} frames, {len(stream.truth)} events -> {out_dir}")
     return 0
 
 
-def _resolve_pipeline_config(args, samples, sample_rate_hz: float) -> PipelineConfig:
+def _resolve_pipeline_config(args, frame_size: int, sample_rate_hz: float) -> PipelineConfig:
     if args.config is not None:
         config = io.load_pipeline_config(args.config)
     else:
         scenario = dataclasses.replace(replica_scenario(), sample_rate_hz=sample_rate_hz)
-        if samples.shape[1] != scenario.frame_size:
+        if frame_size != scenario.frame_size:
             raise ValueError("frame size differs from the built-in defaults; pass --config")
         config = replica_pipeline_config(scenario)
     if args.tracker is not None:
@@ -223,20 +244,22 @@ def _resolve_pipeline_config(args, samples, sample_rate_hz: float) -> PipelineCo
 
 
 def cmd_detect(args) -> int:
-    samples, sample_rate_hz = io.read_frames(args.frames)
-    config = _resolve_pipeline_config(args, samples, sample_rate_hz)
+    """Stream the container block by block through the detector; write only once all frames passed."""
+    series = None
+    with io.FrameReader(args.frames) as frames:
+        config = _resolve_pipeline_config(args, frames.frame_size, frames.sample_rate_hz)
+        if args.detector == "proposed":
+            rows, series = _run_proposed(frames.blocks(), config)
+        elif args.detector == "fixed":
+            rows = _run_fixed(frames.blocks(), config, args.calib_frames, frames.frame_count)
+        elif args.detector == "decimated":
+            rows = _run_decimated(frames.blocks(), DecimationConfig(decimation_factor=args.decimation))
+        else:  # pragma: no cover - argparse restricts choices
+            raise ValueError(f"unknown detector {args.detector}")
+
     out_dir = io.ensure_dir(args.out_dir)
-
-    if args.detector == "proposed":
-        rows, series = _run_proposed(samples, config)
+    if series is not None:
         io.write_series(out_dir / "series.csv", series)
-    elif args.detector == "fixed":
-        rows = _run_fixed(samples, config, args.calib_frames)
-    elif args.detector == "decimated":
-        rows = _run_decimated(samples, DecimationConfig(decimation_factor=args.decimation))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown detector {args.detector}")
-
     io.write_events(out_dir / "events.csv", rows)
     io.save_pipeline_config(out_dir / "pipeline.json", config)
     print(f"detector={args.detector} events={len(rows)} -> {out_dir}")
@@ -285,12 +308,13 @@ def cmd_replica(args) -> int:
     pipeline_config = replica_pipeline_config(scenario, tracker=args.tracker)
     out_dir = io.ensure_dir(args.out_dir)
 
-    samples, truth = generate(scenario)
-    io.write_frames(out_dir / "frames.bin", samples, scenario.sample_rate_hz)
+    # One pass: each generated chunk is appended to frames.bin and fed to the detector.
+    stream = SyntheticStream(scenario)
+    with _frames_writer(out_dir, scenario) as writer:
+        rows, series = _run_proposed(_appended(writer, stream.chunks()), pipeline_config)
+    truth = stream.truth
     io.write_truth(out_dir / "truth.csv", truth)
     io.save_scenario(out_dir / "scenario.json", scenario)
-
-    rows, series = _run_proposed(samples, pipeline_config)
     io.write_events(out_dir / "events.csv", rows)
     io.write_series(out_dir / "series.csv", series)
     io.save_pipeline_config(out_dir / "pipeline.json", pipeline_config)

@@ -12,11 +12,13 @@ what makes multiplicative triggering against a tracked floor well-posed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import BinSet, bin_indices, check_frame_format
+from .spectral import BinSet, bin_indices, check_frame_format, chunk_rows
 
 GENERATOR_ID = "numpy:PCG64"
 
@@ -179,51 +181,106 @@ def _place_events(rng, lo: int, hi: int, count: int, duration: int, gap: int) ->
     return [int(a + i * stride) for i, a in enumerate(anchors)]
 
 
-def generate(scenario: ScenarioConfig) -> tuple[np.ndarray, GroundTruth]:
-    """Produce the frame stream, a (frames, N) sample array, and its ground truth, fully seeded.
+class SyntheticStream:
+    """A scenario's frame stream, ready to give any run of rows.
 
-    Per frame, interior bins carry magnitude level * (1 + u) with
-    u ~ Uniform(-jitter, +jitter) and an independent uniform phase; event
-    frames additionally carry a tone of magnitude amplitude_ratio * level at
-    the target bin. DC and Nyquist stay empty so the samples are zero-mean.
+    The per-frame levels and the events are fixed once, here. The noise
+    draws sit at fixed offsets of the seeded generator: with K = N/2 - 1
+    interior bins and T frames, phase row a starts at output a*K, jitter row
+    a at T*K + a*K, and the event draws at 2*T*K. Every draw is a uniform
+    double taking exactly one output, so ``advance`` reaches any row, and any
+    run of rows is bit-identical to the same rows of the whole stream.
     """
-    rng = np.random.default_rng(scenario.seed)
-    size = scenario.frame_size
-    nyquist = size // 2
-    total = scenario.total_frames
 
-    levels = np.concatenate([p.levels() for p in scenario.phases])
+    def __init__(self, scenario: ScenarioConfig):
+        self.scenario = scenario
+        self._levels = np.concatenate([p.levels() for p in scenario.phases])
+        self._tones, self.truth = self._events()
+        self._tone_ends = [end for _, end, _, _ in self._tones]
 
-    n_noise_bins = nyquist - 1  # interior bins 1 .. nyquist-1
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(total, n_noise_bins))
-    jitter = rng.uniform(
-        -scenario.magnitude_jitter, scenario.magnitude_jitter, size=(total, n_noise_bins)
-    )
+    def _events(self):
+        """(start, end, bin, tone) per event in draw order, and the ground truth."""
+        scenario, spec = self.scenario, self.scenario.events
+        rng = np.random.default_rng(scenario.seed)
+        rng.bit_generator.advance(2 * scenario.total_frames * (scenario.frame_size // 2 - 1))
+        tones, intervals = [], []
+        for phase, (_, phase_start, phase_end) in zip(scenario.phases, scenario.phase_bounds()):
+            lo = max(phase_start, scenario.warmup_frames)
+            hi = phase_end - spec.duration_frames
+            starts = _place_events(
+                rng, lo, hi, phase.event_count, spec.duration_frames, spec.min_gap_frames
+            )
+            for start in starts:
+                target = int(rng.choice(spec.target_bins))
+                tone_phase = rng.uniform(0.0, 2.0 * np.pi)
+                end = start + spec.duration_frames
+                tone = spec.amplitude_ratio * self._levels[start:end] * np.exp(1j * tone_phase)
+                tones.append((start, end, target, tone))
+                intervals.append(EventInterval(start_frame=start, end_frame=end, bin=target))
+        truth = GroundTruth(intervals=tuple(sorted(intervals, key=lambda e: e.start_frame)))
+        return tones, truth
 
-    half_spectrum = np.zeros((total, nyquist + 1), dtype=np.complex128)
-    half_spectrum[:, 1:nyquist] = (
-        levels[:, None] * (1.0 + jitter) * np.exp(1j * phases)
-    )
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The whole stream in order, as (rows, N) sample arrays of chunk_rows(N) frames."""
+        total, rows = self.scenario.total_frames, chunk_rows(self.scenario.frame_size)
+        for start in range(0, total, rows):
+            yield generate(self, start, min(start + rows, total))[0]
 
-    intervals: list[EventInterval] = []
-    spec = scenario.events
-    for phase, (_, phase_start, phase_end) in zip(scenario.phases, scenario.phase_bounds()):
-        lo = max(phase_start, scenario.warmup_frames)
-        hi = phase_end - spec.duration_frames
-        starts = _place_events(
-            rng, lo, hi, phase.event_count, spec.duration_frames, spec.min_gap_frames
+    def _synthesize(self, start: int, stop: int, out: np.ndarray) -> None:
+        """Rows [start, stop) of the stream into ``out``, a (stop - start, N) array."""
+        scenario, rows = self.scenario, stop - start
+        nyquist = scenario.frame_size // 2
+        n_noise_bins = nyquist - 1  # interior bins 1 .. nyquist-1
+        rng = np.random.default_rng(scenario.seed)
+        rng.bit_generator.advance(start * n_noise_bins)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(rows, n_noise_bins))
+        rng.bit_generator.advance((scenario.total_frames - rows) * n_noise_bins)
+        magnitude = rng.uniform(
+            -scenario.magnitude_jitter, scenario.magnitude_jitter, size=(rows, n_noise_bins)
         )
-        for start in starts:
-            target = int(rng.choice(spec.target_bins))
-            tone_phase = rng.uniform(0.0, 2.0 * np.pi)
-            end = start + spec.duration_frames
-            tone = spec.amplitude_ratio * levels[start:end] * np.exp(1j * tone_phase)
-            half_spectrum[start:end, target] += tone
-            intervals.append(EventInterval(start_frame=start, end_frame=end, bin=target))
+        # level * (1 + jitter) * exp(1j * phase), computed in place to hold fewer chunk-sized
+        # temporaries; each step is the same IEEE operation as in the whole-matrix expression.
+        magnitude += 1.0
+        magnitude *= self._levels[start:stop, None]
+        half_spectrum = np.zeros((rows, nyquist + 1), dtype=np.complex128)
+        interior = half_spectrum[:, 1:nyquist]
+        np.multiply(phases, 1j, out=interior)
+        del phases
+        np.exp(interior, out=interior)
+        interior *= magnitude
+        # Events are sorted and disjoint, so the tones ending after `start` come next.
+        for first, end, target, tone in self._tones[bisect_right(self._tone_ends, start) :]:
+            if first >= stop:
+                break
+            lo, hi = max(first, start), min(end, stop)
+            half_spectrum[lo - start : hi - start, target] += tone[lo - first : hi - first]
+        np.fft.irfft(half_spectrum, n=scenario.frame_size, axis=1, out=out)
 
-    samples = np.fft.irfft(half_spectrum, n=size, axis=1)
-    truth = GroundTruth(intervals=tuple(sorted(intervals, key=lambda e: e.start_frame)))
-    return samples, truth
+
+def generate(
+    source: ScenarioConfig | SyntheticStream, start: int = 0, stop: int | None = None
+) -> tuple[np.ndarray, GroundTruth]:
+    """Rows [start, stop) of the frame stream, a (frames, N) sample array, and the
+    whole stream's ground truth, fully seeded; by default the whole stream.
+
+    ``source`` is a scenario, or a SyntheticStream made from one, which fixes
+    the levels and events once for many calls. Per frame, interior bins carry
+    magnitude level * (1 + u) with u ~ Uniform(-jitter, +jitter) and an
+    independent uniform phase; event frames additionally carry a tone of
+    magnitude amplitude_ratio * level at the target bin. DC and Nyquist stay
+    empty so the samples are zero-mean. The rows are made chunk_rows(N) at a
+    time, so the heap holds the output and one chunk's spectra.
+    """
+    stream = source if isinstance(source, SyntheticStream) else SyntheticStream(source)
+    total, size = stream.scenario.total_frames, stream.scenario.frame_size
+    stop = total if stop is None else stop
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"rows [{start}, {stop}) outside the stream's {total} frames")
+    samples, rows = np.empty((stop - start, size)), chunk_rows(size)
+    for a in range(start, stop, rows):
+        b = min(a + rows, stop)
+        stream._synthesize(a, b, samples[a - start : b - start])
+    return samples, stream.truth
 
 
 REPLICA_BINS = (3, 9, 14, 21, 27, 36, 44, 52)

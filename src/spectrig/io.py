@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,52 +30,152 @@ from .envsim import (
     ScenarioConfig,
 )
 from .pipeline import PipelineConfig
-from .spectral import BinSet, check_frame_format
+from .spectral import BinSet, check_frame_format, chunk_rows
 from .trigger import ThresholdConfig
 
 FRAMES_MAGIC = b"STFR"
 FRAMES_VERSION = 1
+MAX_FRAME_SIZE = 0xFFFF  # the header's u16 frame-size field
 _HEADER = struct.Struct("<4sHHfI")
 
 
-def write_frames(path, samples, sample_rate_hz: float) -> None:
-    """Write a (frames, N) sample array; row t is frame t."""
+def _pack_header(frame_size: int, sample_rate_hz: float, frame_count: int) -> bytes:
+    """The container header, once every field is checked to fit its slot."""
+    check_frame_format(frame_size, sample_rate_hz)
+    if frame_size > MAX_FRAME_SIZE:
+        raise ValueError(f"frame size {frame_size} above the container limit {MAX_FRAME_SIZE}")
+    if not 0 < frame_count <= 0xFFFFFFFF:
+        raise ValueError(f"a container holds 1 to {0xFFFFFFFF} frames, got {frame_count}")
+    try:
+        return _HEADER.pack(FRAMES_MAGIC, FRAMES_VERSION, frame_size, sample_rate_hz, frame_count)
+    except OverflowError as exc:  # a finite rate beyond the f32 range
+        raise ValueError(f"sample rate {sample_rate_hz} does not fit the container: {exc}") from exc
+
+
+class FrameWriter:
+    """A frame container being written, chunk by chunk, with write_frames(writer, chunk).
+
+    The header, frame count included, is checked and packed before the file
+    is opened, so a stream the container cannot hold leaves no file. If the
+    stream fails, or ends with another frame count than the header's, the
+    file is removed.
+    """
+
+    def __init__(self, path, frame_size: int, sample_rate_hz: float, frame_count: int):
+        header = _pack_header(frame_size, sample_rate_hz, frame_count)
+        self.path, self.frame_size, self.frame_count = path, frame_size, frame_count
+        self.frames_written = 0
+        self._fh = open(path, "wb")
+        self._fh.write(header)
+
+    def __enter__(self) -> "FrameWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._fh.close()
+        if exc_type is None and self.frames_written == self.frame_count:
+            return
+        os.unlink(self.path)
+        if exc_type is None:
+            raise ValueError(f"{self.path}: wrote {self.frames_written} of {self.frame_count} frames")
+
+    def _append(self, samples) -> None:
+        samples = np.ascontiguousarray(samples, dtype="<f8")
+        if samples.ndim != 2 or samples.shape[1] != self.frame_size:
+            raise ValueError(f"expected (frames, {self.frame_size}) samples, got shape {samples.shape}")
+        if self.frames_written + len(samples) > self.frame_count:
+            raise ValueError(f"{self.path}: more than the header's {self.frame_count} frames")
+        _check_finite(samples, self.frames_written)
+        samples.tofile(self._fh)
+        self.frames_written += len(samples)
+
+
+def write_frames(target, samples, sample_rate_hz: float | None = None) -> None:
+    """Write a (frames, N) sample array; row t is frame t.
+
+    ``target`` is a path, which gets a whole container at ``sample_rate_hz``,
+    or an open FrameWriter, which the rows are appended to.
+    """
+    if isinstance(target, FrameWriter):
+        target._append(samples)
+        return
     samples = np.ascontiguousarray(samples, dtype="<f8")
     if samples.ndim != 2 or not samples.size:
         raise ValueError(f"need a non-empty (frames, N) sample array, got shape {samples.shape}")
-    _check_stream(samples, sample_rate_hz)
-    count, size = samples.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(FRAMES_MAGIC, FRAMES_VERSION, size, sample_rate_hz, count))
-        samples.tofile(fh)
+    with FrameWriter(target, samples.shape[1], sample_rate_hz, len(samples)) as writer:
+        writer._append(samples)
 
 
-def read_frames(path) -> tuple[np.ndarray, float]:
-    """The container's (frames, N) float64 sample array and its sample rate in Hz."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated frame container header")
-        magic, version, size, rate, count = _HEADER.unpack(header)
-        if magic != FRAMES_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != FRAMES_VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
-        expected, found = count * size * 8, os.fstat(fh.fileno()).st_size - _HEADER.size
-        if found != expected:
-            raise ValueError(f"{path}: expected {expected} sample bytes, found {found}")
-        samples = np.fromfile(fh, dtype="<f8", count=count * size).reshape(count, size)
-    _check_stream(samples, rate)
-    return samples, float(rate)
+class FrameReader:
+    """An open frame container, read with read_frames(reader, start, stop) or block by block.
+
+    Its header, magic, version and payload length are checked once, on opening.
+    """
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            header = self._fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise ValueError(f"{path}: truncated frame container header")
+            magic, version, size, rate, count = _HEADER.unpack(header)
+            if magic != FRAMES_MAGIC:
+                raise ValueError(f"{path}: bad magic {magic!r}")
+            if version != FRAMES_VERSION:
+                raise ValueError(f"{path}: unsupported container version {version}")
+            expected = count * size * 8
+            found = os.fstat(self._fh.fileno()).st_size - _HEADER.size
+            if found != expected:
+                raise ValueError(f"{path}: expected {expected} sample bytes, found {found}")
+            check_frame_format(size, rate)
+        except BaseException:
+            self._fh.close()
+            raise
+        self.frame_size, self.sample_rate_hz, self.frame_count = size, float(rate), count
+
+    def __enter__(self) -> "FrameReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The stream in order, as (rows, N) arrays of chunk_rows(N) frames."""
+        rows = chunk_rows(self.frame_size)
+        for start in range(0, self.frame_count, rows):
+            yield read_frames(self, start, min(start + rows, self.frame_count))[0]
+
+    def _read(self, start: int, stop: int | None) -> np.ndarray:
+        stop = self.frame_count if stop is None else stop
+        if not 0 <= start <= stop <= self.frame_count:
+            raise ValueError(f"frames [{start}, {stop}) outside the container's {self.frame_count}")
+        size = self.frame_size
+        self._fh.seek(_HEADER.size + start * size * 8)
+        samples = np.fromfile(self._fh, dtype="<f8", count=(stop - start) * size)
+        samples = samples.reshape(stop - start, size)
+        _check_finite(samples, start)
+        return samples
 
 
-def _check_stream(samples: np.ndarray, sample_rate_hz: float) -> None:
-    """Every row passes the checks a Frame makes; the first bad frame is named."""
-    check_frame_format(samples.shape[1], sample_rate_hz)
+def read_frames(source, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, float]:
+    """Frames [start, stop) of a container, by default all, as a (frames, N) float64
+    array, and the container's sample rate in Hz.
+
+    ``source`` is a path, or a FrameReader open on one. A non-finite sample
+    is an error naming its frame's position in the whole stream.
+    """
+    if isinstance(source, FrameReader):
+        return source._read(start, stop), source.sample_rate_hz
+    with FrameReader(source) as reader:
+        return reader._read(start, stop), reader.sample_rate_hz
+
+
+def _check_finite(samples: np.ndarray, first: int) -> None:
+    """Rows are frames first, first + 1, ...; the first one with a non-finite sample is named."""
     # A row's extremes are finite exactly when all its samples are; no (frames, N) mask needed.
     bad = np.flatnonzero(~(np.isfinite(samples.min(axis=1)) & np.isfinite(samples.max(axis=1))))
     if bad.size:
-        raise ValueError(f"frame {bad[0]}: samples must all be finite")
+        raise ValueError(f"frame {first + bad[0]}: samples must all be finite")
 
 
 def write_truth(path, truth: GroundTruth) -> None:
@@ -142,23 +243,29 @@ def read_events(path) -> list[EventRow]:
     return rows
 
 
+_SERIES_ROWS = 4096  # rows formatted at a time, to bound the Python objects alive at once
+
+
 def write_series(path, columns: dict[str, np.ndarray]) -> None:
-    """Plot-ready per-frame series; all columns must share one length."""
+    """Plot-ready per-frame series; all columns must share one length.
+
+    Integer columns are written as ints, any other as the repr of each value as a float.
+    """
     names = list(columns)
     arrays = [np.asarray(columns[n]) for n in names]
     lengths = {a.shape[0] for a in arrays}
     if len(lengths) != 1:
         raise ValueError(f"series columns differ in length: {sorted(lengths)}")
+    integer = [np.issubdtype(a.dtype, np.integer) for a in arrays]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for i in range(arrays[0].shape[0]):
-            writer.writerow(
-                [
-                    int(a[i]) if np.issubdtype(a.dtype, np.integer) else repr(float(a[i]))
-                    for a in arrays
-                ]
-            )
+        for start in range(0, arrays[0].shape[0], _SERIES_ROWS):
+            rows = [a[start : start + _SERIES_ROWS] for a in arrays]
+            writer.writerows(zip(*(
+                r.tolist() if is_int else map(repr, r.astype(np.float64, copy=False).tolist())
+                for r, is_int in zip(rows, integer)
+            )))
 
 
 def read_series(path) -> dict[str, np.ndarray]:

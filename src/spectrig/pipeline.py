@@ -146,8 +146,9 @@ class Pipeline:
         BLOCK_SAMPLES // frame_size frames, one BlockResult each, bit-identical
         to one frame at a time. A frame's index is its position in the
         pipeline's stream. Estimates update on every frame; events are forced
-        to 0 during the warm-up. An error names the row at fault, and every row
-        before it has been processed.
+        to 0 during the warm-up. Successive calls continue one stream. An error
+        names the frame at fault by its index, and every frame before it has
+        been processed.
         """
         samples, size = np.asarray(samples, dtype=np.float64), self.config.frame_size
         if samples.size and (samples.ndim != 2 or samples.shape[1] != size):
@@ -162,7 +163,7 @@ class Pipeline:
                     try:
                         yield self._step(samples[row : row + 1])
                     except ValueError as exc:
-                        raise ValueError(f"frame {row}: {exc}") from exc
+                        raise ValueError(f"frame {self._frames_processed}: {exc}") from exc
 
     def _step(self, samples: np.ndarray) -> BlockResult:
         """The detection core on one block of rows; raises before changing any state."""

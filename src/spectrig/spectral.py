@@ -21,6 +21,16 @@ def check_frame_format(size: int, sample_rate_hz: float) -> None:
         raise ValueError(f"sample rate must be finite and positive, got {sample_rate_hz}")
 
 
+# Samples per chunk of a frame stream as it is generated, written and read: 2 MB of
+# float64. A multiple of pipeline.BLOCK_SAMPLES, so detector blocks never straddle a chunk.
+CHUNK_SAMPLES = 1 << 18
+
+
+def chunk_rows(frame_size: int) -> int:
+    """Frames per chunk of a stream of ``frame_size``-sample frames (>= 1)."""
+    return max(1, CHUNK_SAMPLES // frame_size)
+
+
 def bin_indices(values) -> tuple[int, ...]:
     """Bin indices as ints; a fractional or non-finite value is rejected, not truncated."""
     if not all(float(v).is_integer() for v in values):

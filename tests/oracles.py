@@ -83,3 +83,40 @@ def naive_pipeline_events(
         if any(magnitudes[k][t] > coefficient * estimates[k][t] for k in bins):
             events.append(t)
     return events
+
+
+def whole_stream_reference(scenario):
+    """A scenario's samples and (start, end, bin) events, drawn for the whole stream at once.
+
+    The generator's original whole-matrix form, one draw after another from
+    one seeded generator: every frame's phases, then every frame's jitter,
+    then per phase the sorted event anchors and per event its bin and tone
+    phase. Chunked generation must reproduce these bits.
+    """
+    rng = np.random.default_rng(scenario.seed)
+    size, total = scenario.frame_size, scenario.total_frames
+    nyquist = size // 2
+    levels = np.concatenate([p.levels() for p in scenario.phases])
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(total, nyquist - 1))
+    jitter = rng.uniform(
+        -scenario.magnitude_jitter, scenario.magnitude_jitter, size=(total, nyquist - 1)
+    )
+    spectrum = np.zeros((total, nyquist + 1), dtype=np.complex128)
+    spectrum[:, 1:nyquist] = levels[:, None] * (1.0 + jitter) * np.exp(1j * phases)
+    spec, events, start = scenario.events, [], 0
+    stride = spec.duration_frames + spec.min_gap_frames
+    for phase in scenario.phases:
+        end = start + phase.frame_count
+        lo, hi = max(start, scenario.warmup_frames), end - spec.duration_frames
+        if phase.event_count:
+            upper = hi - (phase.event_count - 1) * stride
+            anchors = np.sort(rng.integers(lo, upper + 1, size=phase.event_count))
+            for i, anchor in enumerate(anchors):
+                first = int(anchor) + i * stride
+                target = int(rng.choice(spec.target_bins))
+                last = first + spec.duration_frames
+                tone = spec.amplitude_ratio * levels[first:last] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+                spectrum[first:last, target] += tone
+                events.append((first, last, target))
+        start = end
+    return np.fft.irfft(spectrum, n=size, axis=1), events

@@ -65,6 +65,17 @@ class TestReplica:
         # the echoed scenario reloads into the exact replica definition
         assert io.scenario_from_dict(report["config"]["scenario"]) == replica_scenario(42)
 
+    def test_one_pass_reads_nothing_back(self, replica_dir, tmp_path, monkeypatch):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("replica read a frame container")
+
+        monkeypatch.setattr(io, "read_frames", no_reading)
+        monkeypatch.setattr(io.FrameReader, "__init__", no_reading)
+        out = tmp_path / "replica"
+        assert main(["replica", "--seed", "42", "--out-dir", str(out)]) == 0
+        for name in ("frames.bin", "events.csv", "series.csv", "report.json"):
+            assert (out / name).read_bytes() == (replica_dir / name).read_bytes(), name
+
     def test_emitted_files_reload_through_own_parsers(self, replica_dir):
         samples, _ = io.read_frames(replica_dir / "frames.bin")
         truth = io.read_truth(replica_dir / "truth.csv")
@@ -214,6 +225,19 @@ class TestErrors:
         stderr = capsys.readouterr().err
         assert stderr.startswith("error:") and "300" in stderr and "255" in stderr
         assert not out.exists()
+
+    def test_frame_size_above_the_container_limit(self, replica_dir, tmp_path, capsys):
+        document = {
+            **read_json(replica_dir / "scenario.json"),
+            "frame_size": 131072,
+            "phases": [{"name": "only", "frames": 2, "level": 1.0}],
+        }
+        io.dump_json(tmp_path / "scenario.json", document)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(tmp_path / "scenario.json"), "--out-dir", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error:") and "65535" in stderr
+        assert not (out / "frames.bin").exists()
 
     @pytest.mark.parametrize("command", ["generate", "detect"])
     def test_wrongly_typed_json_field_is_an_error_line(self, replica_dir, tmp_path, capsys, command):

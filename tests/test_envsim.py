@@ -1,10 +1,15 @@
 """Scenario generator: determinism, structure, energy placement."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import whole_stream_reference
 
+from spectrig import spectral
 from spectrig.envsim import (
     EventInterval,
     EventSpec,
@@ -12,6 +17,7 @@ from spectrig.envsim import (
     PhaseSpec,
     Ramp,
     ScenarioConfig,
+    SyntheticStream,
     generate,
     replica_scenario,
 )
@@ -199,3 +205,89 @@ class TestReplicaScenario:
             spectrum = plan(frames[interval.start_frame])
             excess = np.abs(spectrum[monitored])
             assert monitored[int(np.argmax(excess))] == interval.bin
+
+
+@st.composite
+def streams(draw):
+    """A scenario of 1-3 phases (one may ramp) and a chunk size from 1 to its frame count."""
+    size = 2 ** draw(st.integers(3, 11))
+    nyquist = size // 2
+    duration = draw(st.integers(1, 6))
+    gap = draw(st.integers(0, 3))
+    phases = []
+    for i in range(draw(st.integers(1, 3))):
+        frames = draw(st.integers(1, 60 if size >= 1024 else 120))
+        room = (frames - duration) // (duration + gap) + 1 if frames >= duration else 0
+        level = draw(st.sampled_from([0.0, 1.0, 37.5]))
+        ramp = Ramp(level, 4 * level + 1) if draw(st.booleans()) else None
+        phases.append(PhaseSpec(f"p{i}", frames, level, ramp, draw(st.integers(0, room))))
+    scenario = ScenarioConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        frame_size=size,
+        sample_rate_hz=1000.0,
+        bins=BinSet((1, nyquist - 1)),
+        phases=tuple(phases),
+        events=EventSpec(
+            target_bins=(1, nyquist - 1),
+            amplitude_ratio=6.0,
+            duration_frames=duration,
+            min_gap_frames=gap,
+        ),
+        warmup_frames=0,
+        magnitude_jitter=draw(st.sampled_from([0.0, 0.1, 0.5])),
+    )
+    return scenario, draw(st.integers(1, scenario.total_frames))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestChunkedGeneration:
+    """Any run of rows equals the same rows of the stream drawn whole, bit for bit."""
+
+    @given(streams())
+    @settings(max_examples=60, deadline=None)
+    def test_any_chunking_equals_the_whole_stream(self, case):
+        scenario, rows = case
+        reference, events = whole_stream_reference(scenario)
+        stream = SyntheticStream(scenario)
+        with mock.patch.object(spectral, "CHUNK_SAMPLES", rows * scenario.frame_size):
+            chunks = list(stream.chunks())
+        assert all(len(c) == rows for c in chunks[:-1])
+        assert same_bits(np.concatenate(chunks), reference)
+        samples, truth = generate(scenario)
+        assert same_bits(samples, reference)
+        assert [(iv.start_frame, iv.end_frame, iv.bin) for iv in truth] == events
+        assert truth == stream.truth
+        start, stop = scenario.total_frames // 3, scenario.total_frames - rows // 2
+        assert same_bits(generate(stream, start, stop)[0], reference[start:stop])
+
+    def test_long_events_across_chunk_edges(self):
+        scenario = small_scenario(
+            seed=8,
+            event_count=12,
+            events=EventSpec(
+                target_bins=(3, 9, 14), amplitude_ratio=5.0, duration_frames=7, min_gap_frames=2
+            ),
+        )
+        reference, _ = whole_stream_reference(scenario)
+        for rows in (1, 4, 5, 16):
+            truth = SyntheticStream(scenario).truth
+            assert any(iv.start_frame // rows != (iv.end_frame - 1) // rows for iv in truth)
+            with mock.patch.object(spectral, "CHUNK_SAMPLES", rows * scenario.frame_size):
+                chunks = list(SyntheticStream(scenario).chunks())
+            assert same_bits(np.concatenate(chunks), reference)
+
+    def test_whole_stream_is_made_a_chunk_at_a_time(self, monkeypatch):
+        scenario = small_scenario(seed=4, event_count=6)
+        reference, _ = whole_stream_reference(scenario)
+        monkeypatch.setattr(spectral, "CHUNK_SAMPLES", 7 * scenario.frame_size)
+        assert same_bits(generate(scenario)[0], reference)
+
+    def test_rows_outside_the_stream_are_rejected(self):
+        scenario = small_scenario(frames=50)
+        for start, stop in ((-1, 10), (10, 51), (20, 10)):
+            with pytest.raises(ValueError, match="outside the stream"):
+                generate(scenario, start, stop)
+        assert generate(scenario, 50, 50)[0].shape == (0, 64)

@@ -2,11 +2,12 @@
 
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from spectrig import io
+from spectrig import io, spectral
 from spectrig.envsim import (
     EventInterval,
     EventSpec,
@@ -125,6 +126,85 @@ class TestFrameContainer:
         assert peak <= 1.1 * samples.nbytes
 
 
+class TestChunkedContainer:
+    """The writer appends chunks under a header checked up front; the reader reads row blocks."""
+
+    def test_appended_chunks_equal_one_write(self, tmp_path):
+        samples = some_frames(count=11)
+        io.write_frames(tmp_path / "whole.bin", samples, 250.0)
+        with io.FrameWriter(tmp_path / "chunked.bin", 16, 250.0, 11) as writer:
+            for start, stop in ((0, 1), (1, 5), (5, 11)):
+                io.write_frames(writer, samples[start:stop])
+        assert (tmp_path / "chunked.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+    @pytest.mark.parametrize("size, match", [(131072, "65535"), (12, "power of two")])
+    def test_header_is_checked_before_the_file_opens(self, tmp_path, size, match):
+        path = tmp_path / "frames.bin"
+        with pytest.raises(ValueError, match=match):
+            io.FrameWriter(path, size, 250.0, 2)
+        with pytest.raises(ValueError, match="frames"):
+            io.FrameWriter(path, 16, 250.0, 0)
+        with pytest.raises(ValueError, match="sample rate"):
+            io.FrameWriter(path, 16, 1e39, 2)  # above the f32 range
+        assert not path.exists()
+
+    def test_bad_chunk_names_its_frame_and_removes_the_file(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        samples = some_frames(count=8)
+        samples[6, 2] = np.nan
+        with pytest.raises(ValueError, match="frame 6: samples must all be finite"):
+            with io.FrameWriter(path, 16, 250.0, 8) as writer:
+                io.write_frames(writer, samples[:4])
+                io.write_frames(writer, samples[4:])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_stream_of_another_length_removes_the_file(self, tmp_path, count):
+        path = tmp_path / "frames.bin"
+        with pytest.raises(ValueError, match="frames"):
+            with io.FrameWriter(path, 16, 250.0, 4) as writer:
+                io.write_frames(writer, some_frames(count=count))
+        assert not path.exists()
+
+    def test_chunk_of_another_frame_size_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="expected"):
+            with io.FrameWriter(tmp_path / "frames.bin", 16, 250.0, 4) as writer:
+                io.write_frames(writer, some_frames(count=4, n=32))
+
+    def test_blocks_of_any_size_equal_the_whole_read(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        io.write_frames(path, some_frames(count=13), 250.0)
+        whole, _ = io.read_frames(path)
+        with io.FrameReader(path) as reader:
+            assert (reader.frame_size, reader.sample_rate_hz, reader.frame_count) == (16, 250.0, 13)
+            for rows in range(1, 15):
+                with mock.patch.object(spectral, "CHUNK_SAMPLES", rows * 16):
+                    blocks = list(reader.blocks())
+                assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+                assert np.concatenate(blocks).tobytes() == whole.tobytes()
+            assert np.array_equal(io.read_frames(reader, 4, 9)[0], whole[4:9])
+        assert np.array_equal(io.read_frames(path, 2, 3)[0], whole[2:3])
+
+    def test_block_error_names_the_frame_in_the_stream(self, tmp_path):
+        samples = some_frames(count=12)
+        samples[9, 1] = np.inf
+        path = tmp_path / "frames.bin"
+        raw_container(path, samples)
+        with io.FrameReader(path) as reader:
+            assert len(io.read_frames(reader, 0, 8)[0]) == 8
+            with pytest.raises(ValueError, match="frame 9: samples must all be finite"):
+                with mock.patch.object(spectral, "CHUNK_SAMPLES", 4 * 16):
+                    list(reader.blocks())
+            with pytest.raises(ValueError, match="outside"):
+                io.read_frames(reader, 8, 13)
+
+    def test_header_errors_close_the_file(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        path.write_bytes(b"STFR")
+        with pytest.raises(ValueError, match="truncated"):
+            io.FrameReader(path)
+
+
 class TestCsvLogs:
     def test_truth_round_trip(self, tmp_path):
         truth = GroundTruth(
@@ -153,6 +233,32 @@ class TestCsvLogs:
         loaded = io.read_series(path)
         assert np.array_equal(loaded["frame"], columns["frame"].astype(float))
         assert np.array_equal(loaded["feature"], columns["feature"])
+
+    def test_series_bytes_are_pinned(self, tmp_path):
+        columns = {
+            "frame": np.array([0, 1, 2, -3], dtype=np.int64),
+            "value": np.array([0.1, -0.0, np.inf, -np.inf]),
+            "small": np.array([1e-300, 2.5, np.nan, 1.0 / 3.0]),
+            "flag": np.array([1, 0, 1, 0], dtype=np.int8),
+            "half": np.array([0.1, 1.0, 2.0, 3.0], dtype=np.float32),
+        }
+        path = tmp_path / "series.csv"
+        io.write_series(path, columns)
+        assert path.read_bytes() == (
+            b"frame,value,small,flag,half\r\n"
+            b"0,0.1,1e-300,1,0.10000000149011612\r\n"
+            b"1,-0.0,2.5,0,1.0\r\n"
+            b"2,inf,nan,1,2.0\r\n"
+            b"-3,-inf,0.3333333333333333,0,3.0\r\n"
+        )
+
+    def test_series_longer_than_one_slice(self, tmp_path):
+        frames = np.arange(10_000, dtype=np.int64)
+        values = np.linspace(-1.0, 1.0, 10_000)
+        path = tmp_path / "series.csv"
+        io.write_series(path, {"frame": frames, "value": values})
+        lines = path.read_text().splitlines()
+        assert lines[1:] == [f"{f},{v!r}" for f, v in zip(frames.tolist(), values.tolist())]
 
     def test_series_rejects_ragged_columns(self, tmp_path):
         with pytest.raises(ValueError):

@@ -281,6 +281,16 @@ class TestBlockCore:
             frames, [1, 3, 6], fast, slow, 1.5, config.warmup_frames, tracker=tracker, alpha=0.8
         )
 
+    def test_error_names_the_frame_across_calls(self):
+        """Successive calls continue one stream, and an error names the frame's index in it."""
+        frames = np.random.default_rng(6).normal(size=(20, 32))
+        frames[13, 2] = np.nan
+        pipeline = Pipeline(config_for([3, 9], n=32, fast=2, slow=4))
+        list(pipeline.process_blocks(frames[:10]))
+        with pytest.raises(ValueError, match="frame 13: samples must all be finite"):
+            list(pipeline.process_blocks(frames[10:]))
+        assert pipeline.frames_processed == 13
+
     def test_error_inside_a_block_names_the_frame(self):
         config = config_for([3, 9], n=32, fast=2, slow=4)
         rng = np.random.default_rng(4)
