@@ -108,6 +108,7 @@ def decimated_adaptive_detector(samples, config: DecimationConfig) -> np.ndarray
         # The first inspected frame of this chunk is the first multiple of D at or after `total`.
         inspected_rms.append(frame_rms(chunk[-total % step :: step]))
         total += len(chunk)
+        del chunk  # released before the next chunk is read
     flags = np.zeros(total, dtype=np.int64)
     baseline: float | None = None
     for i, rms in enumerate(np.concatenate(inspected_rms) if total else []):

@@ -77,6 +77,7 @@ def _run_proposed(chunks, config: PipelineConfig):
             start += len(block)
         # One array per column and chunk: arrays per block would add ~150 bytes each.
         columns.append(tuple(map(np.concatenate, zip(*parts))))
+        del chunk  # released before the next chunk is made
     series = {"frame": np.arange(pipeline.frames_processed, dtype=np.int64)}
     series.update(zip(_SERIES_COLUMNS, map(np.concatenate, zip(*columns))))
     return rows, series
@@ -98,8 +99,11 @@ def _rows_from_flags(frames_fired, bins, strengths):
 def _run_fixed(chunks, config: PipelineConfig, calib_frames: int, frame_count: int):
     if calib_frames < 1 or calib_frames > frame_count:
         raise ValueError("--calib-frames must be within the frame stream")
-    pipeline = Pipeline(config)
-    mags = np.concatenate([b.magnitudes for c in chunks for b in pipeline.process_blocks(c)])
+    pipeline, parts = Pipeline(config), []
+    for chunk in chunks:
+        parts += [block.magnitudes for block in pipeline.process_blocks(chunk)]
+        del chunk  # released before the next chunk is read
+    mags = np.concatenate(parts)
     fixed = calibrate_fixed_thresholds(mags[:calib_frames])
     fired = np.flatnonzero(fixed_spectral_detector(mags, fixed))
     thresholds = fixed.as_array()
@@ -213,17 +217,21 @@ def _appended(writer: io.FrameWriter, chunks):
     for chunk in chunks:
         io.write_frames(writer, chunk)
         yield chunk
+        del chunk  # released before the next chunk is made
 
 
 def cmd_generate(args) -> int:
     scenario = io.load_scenario(args.config)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
+    # A stream the container cannot hold is rejected before the out-dir is made.
+    io.pack_header(scenario.frame_size, scenario.sample_rate_hz, scenario.total_frames)
     out_dir = io.ensure_dir(args.out_dir)
     stream = SyntheticStream(scenario)
     with _frames_writer(out_dir, scenario) as writer:
         for chunk in stream.chunks():
             io.write_frames(writer, chunk)
+            del chunk  # released before the next chunk is made
     io.write_truth(out_dir / "truth.csv", stream.truth)
     io.save_scenario(out_dir / "scenario.json", scenario)
     print(f"generated {scenario.total_frames} frames, {len(stream.truth)} events -> {out_dir}")

@@ -39,8 +39,12 @@ MAX_FRAME_SIZE = 0xFFFF  # the header's u16 frame-size field
 _HEADER = struct.Struct("<4sHHfI")
 
 
-def _pack_header(frame_size: int, sample_rate_hz: float, frame_count: int) -> bytes:
-    """The container header, once every field is checked to fit its slot."""
+def pack_header(frame_size: int, sample_rate_hz: float, frame_count: int) -> bytes:
+    """The container header, once every field is checked to fit its slot.
+
+    A ValueError here says the container cannot hold the stream, before
+    anything is made on disk.
+    """
     check_frame_format(frame_size, sample_rate_hz)
     if frame_size > MAX_FRAME_SIZE:
         raise ValueError(f"frame size {frame_size} above the container limit {MAX_FRAME_SIZE}")
@@ -62,7 +66,7 @@ class FrameWriter:
     """
 
     def __init__(self, path, frame_size: int, sample_rate_hz: float, frame_count: int):
-        header = _pack_header(frame_size, sample_rate_hz, frame_count)
+        header = pack_header(frame_size, sample_rate_hz, frame_count)
         self.path, self.frame_size, self.frame_count = path, frame_size, frame_count
         self.frames_written = 0
         self._fh = open(path, "wb")

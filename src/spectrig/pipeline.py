@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noisefloor import EmaTracker, NoiseFloorState
-from .spectral import BinSet, FftPlan, Frame, SpectralFeatures, check_frame_format, magnitude
+from .spectral import BinSet, FftPlan, Frame, SpectralFeatures, check_frame_format
 from .trigger import (
     MAX_BIN_ID,
     ThresholdConfig,
@@ -121,7 +121,7 @@ class Pipeline:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        self._plan = FftPlan(config.frame_size)
+        self._plan = FftPlan(config.frame_size, config.bins)  # pruned to the monitored bins
         if config.tracker == TRACKER_EMA:
             self._tracker = EmaTracker(config.bins, alpha=config.ema_alpha)
         else:
@@ -170,7 +170,7 @@ class Pipeline:
         if self.config.window is not None:
             samples = samples * self.config.window
         first = self._frames_processed
-        mags = magnitude(self._plan(samples), self.config.bins, first).magnitudes
+        mags = np.abs(self._plan(samples))
 
         estimates = self._tracker.update_all(mags)
         margins = mags - self._coefficients * estimates

@@ -127,28 +127,82 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     return rev
 
 
+def _pruned_outputs(size: int, bins: tuple[int, ...]) -> list[int]:
+    """The last stage's outputs: ``bins`` in order, then spares so that every pruned
+    stage multiplies at least 3 values per row.
+
+    numpy picks its complex multiply loop from the inner length it sees once
+    unit axes are dropped: with one value per row, a single row gets the scalar
+    loop and a block of rows a SIMD (FMA) loop, whose products differ in the
+    last bit. With 3 or more, every row takes the loop the full transform takes.
+    A spare k + N/2 shares every earlier stage's outputs with k; a spare
+    k + N/4 adds one output to stage N/2 only.
+    """
+    outputs = list(bins)
+    for spare in (size // 2, size // 4, 3 * size // 4):
+        if len(outputs) >= 3 and len({k % (size // 2) for k in outputs}) >= 2:
+            break
+        if (outputs[0] + spare) % size not in outputs:
+            outputs.append((outputs[0] + spare) % size)
+    return outputs
+
+
 class FftPlan:
     """Iterative radix-2 decimation-in-time transform for one frame size.
 
     Bit-reversal indices and per-stage twiddle factors are computed once at
     construction, so repeated calls do no trigonometry. The transform is the
     plain unscaled forward DFT: X[k] = sum_n x[n] * exp(-2j*pi*k*n/N).
+
+    With ``bins``, the plan is output-pruned (Markel 1971; Sorensen and Burrus
+    1993) and returns X only at those bins, in their order. Stage m needs, in
+    every group, the outputs S_m = {b mod m}. Stages that need more than half
+    of their outputs (the first ones need all) run as in the full transform;
+    each later stage gathers its even and odd inputs at precomputed flat
+    indices, multiplies the odd ones by a precomputed +-twiddle vector and
+    adds. Twiddles and operations are the full transform's, so every value
+    kept carries the same bits.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, bins=None):
         if size < 2 or not is_power_of_two(size):
             raise ValueError(f"transform size must be a power of two >= 2, got {size}")
         self.size = size
+        self.bins = None if bins is None else bin_indices(bins)
+        if bins is not None and (not self.bins or min(self.bins) < 0 or max(self.bins) >= size):
+            raise ValueError(f"bins must be 1 or more indices in [0, {size}), got {self.bins}")
         self._reorder = _bit_reverse_indices(size)
-        self._twiddles = []
+        self._twiddles = []  # full stages
+        self._pruned = []  # per pruned stage: (even then odd input indices, +-twiddles)
+        outputs = None if self.bins is None else _pruned_outputs(size, self.bins)
+        held = None  # per group, the outputs the previous pruned stage kept
         m = 2
         while m <= size:
-            self._twiddles.append(np.exp(-2j * np.pi * np.arange(m // 2) / m))
+            half, groups = m // 2, size // m
+            w = np.exp(-2j * np.pi * np.arange(half) / m)
+            needed = None if outputs is None else (
+                outputs if m == size else sorted({k % m for k in outputs})
+            )
+            # Gathering more than a row would cost more than the butterflies it saves.
+            # groups * len(needed) never grows with m, so the full stages come first.
+            if needed is None or (m < size and 2 * groups * len(needed) > size):
+                self._twiddles.append(w)
+            else:
+                kept = range(half) if held is None else held  # the previous stage's, per group
+                at = {j: i for i, j in enumerate(kept)}
+                even = (2 * len(kept) * np.arange(groups))[:, None] + [at[j % half] for j in needed]
+                twiddles = [w[j % half] if j % m < half else -w[j % half] for j in needed]
+                self._pruned.append((
+                    np.concatenate([even.ravel(), even.ravel() + len(kept)]),
+                    np.tile(twiddles, groups),
+                ))
+                held = needed
             m *= 2
 
     def __call__(self, samples) -> np.ndarray:
         """Spectrum of one frame, shape (N,), or of each row of a (T, N) block,
-        bit-identical per row: no butterfly group straddles two rows."""
+        bit-identical per row: no butterfly group straddles two rows. A plan
+        with bins returns shape (M,) or (T, M)."""
         x = np.asarray(samples)
         if x.ndim not in (1, 2) or x.shape[-1] != self.size:
             raise ValueError(f"expected {self.size} samples per frame, got shape {x.shape}")
@@ -163,7 +217,13 @@ class FftPlan:
             lower = x[:, half:] * w
             x[:, :half] = upper + lower
             x[:, half:] = upper - lower
-        return x.reshape(shape)
+        if self.bins is None:
+            return x.reshape(shape)
+        x = x.reshape(-1, self.size)
+        for index, w in self._pruned:
+            pairs = x.take(index, axis=1)
+            x = pairs[:, : w.size] + pairs[:, w.size :] * w
+        return x[:, : len(self.bins)].reshape(shape[:-1] + (len(self.bins),))
 
 
 @lru_cache(maxsize=32)

@@ -26,6 +26,30 @@ def naive_dft_many(frames) -> np.ndarray:
     return frames @ kernel.T
 
 
+def radix2_reference(frames) -> np.ndarray:
+    """The full radix-2 DIT transform of each row, written out stage by stage.
+
+    Not naive: it is the butterfly sequence the transform has always run
+    (bit reversal, then per stage upper + w * lower and upper - w * lower),
+    kept here to pin the full spectrum's bytes.
+    """
+    x = np.asarray(frames, dtype=np.float64)
+    n = x.shape[-1]
+    bits = n.bit_length() - 1
+    reverse = [int(format(i, f"0{bits}b")[::-1], 2) for i in range(n)]
+    x = x[..., reverse].astype(np.complex128)
+    half = 1
+    while half < n:
+        w = np.exp(-2j * np.pi * np.arange(half) / (2 * half))
+        x = x.reshape(-1, 2 * half)
+        upper = x[:, :half].copy()
+        lower = x[:, half:] * w
+        x[:, :half] = upper + lower
+        x[:, half:] = upper - lower
+        half *= 2
+    return x.reshape(np.shape(frames))
+
+
 def sorted_median(values) -> float:
     """Full-sort order statistic at index len // 2 (upper middle when even)."""
     ordered = sorted(float(v) for v in values)

@@ -239,6 +239,18 @@ class TestErrors:
         assert stderr.startswith("error:") and "65535" in stderr
         assert not (out / "frames.bin").exists()
 
+    def test_rejected_container_header_makes_no_out_dir(self, replica_dir, tmp_path, capsys):
+        document = {
+            **read_json(replica_dir / "scenario.json"),
+            "frame_size": 131072,
+            "phases": [{"name": "only", "frames": 2, "level": 1.0}],
+        }
+        io.dump_json(tmp_path / "scenario.json", document)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(tmp_path / "scenario.json"), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["generate", "detect"])
     def test_wrongly_typed_json_field_is_an_error_line(self, replica_dir, tmp_path, capsys, command):
         if command == "generate":

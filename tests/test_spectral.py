@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectrig.spectral import BinSet, FftPlan, Frame, SpectralFeatures, fft, magnitude
 
-from oracles import naive_dft
+from oracles import naive_dft, radix2_reference
 
 SIZES = [8, 16, 32, 64, 128, 256, 512, 1024]
 
@@ -187,6 +189,69 @@ class TestBlocks:
         bad[2, 5] = np.inf
         with pytest.raises(ValueError):
             plan(bad)
+
+
+@st.composite
+def pruned_cases(draw):
+    """A frame size 8...2048, 1 to min(N/2 + 1, 256) sorted bins in 0...N/2, and 1-8 rows."""
+    n = 2 ** draw(st.integers(3, 11), label="log2 N")
+    count = draw(st.integers(1, min(n // 2 + 1, 256)), label="bin count")
+    bins = draw(st.lists(st.integers(0, n // 2), min_size=count, max_size=count, unique=True))
+    rows = draw(st.integers(1, 8), label="rows")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    samples = np.random.default_rng(seed).normal(size=(rows, n)) * 100.0
+    return n, tuple(sorted(bins)), samples
+
+
+class TestPrunedPlan:
+    """A plan with bins computes only what those bins need, with the full plan's bits."""
+
+    @given(pruned_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_alone_full_plan_and_rfft(self, case):
+        n, bins, samples = case
+        plan = FftPlan(n, bins)
+        out = plan(samples)
+        assert out.shape == (len(samples), len(bins))
+        for row, values in zip(samples, out):
+            assert plan(row).tobytes() == values.tobytes()
+        assert np.array_equal(np.abs(out), np.abs(FftPlan(n)(samples)[:, bins]))
+        assert rel_error(np.abs(out), np.abs(np.fft.rfft(samples))[:, bins]) < 1e-12
+
+    @pytest.mark.parametrize("bins", [(0,), (5,), (64,), (0, 64), (7, 9), (3, 35)])
+    def test_one_or_two_bins_one_row_against_four(self, bins):
+        """One value per row in a stage's multiply would take another numpy loop
+        for one row than for a block; the plan keeps at least three."""
+        samples = np.random.default_rng(sum(bins)).normal(size=(4, 128)) * 100.0
+        plan = FftPlan(128, bins)
+        block = plan(samples)
+        for row, values in zip(samples, block):
+            assert plan(row).tobytes() == values.tobytes()
+            assert plan(row[None]).tobytes() == values.tobytes()
+        assert np.array_equal(np.abs(block), np.abs(FftPlan(128)(samples)[:, list(bins)]))
+
+    @pytest.mark.parametrize("n", [8, 64, 512, 2048])
+    def test_full_plan_bytes_unchanged(self, n):
+        samples = np.random.default_rng(n + 3).normal(size=(3, n)) * 100.0
+        assert FftPlan(n)(samples).tobytes() == radix2_reference(samples).tobytes()
+        assert FftPlan(n)(samples[0]).tobytes() == radix2_reference(samples[0]).tobytes()
+
+    @pytest.mark.parametrize("n, bins", [(64, (9, 2, 31)), (8, (7, 6, 5, 4, 3)), (16, (3, 3, 12))])
+    def test_any_bins_in_their_order(self, n, bins):
+        """Bins in [0, N) in any order, repeats too; more than N/2 of them still prune the last stage."""
+        samples = np.random.default_rng(1).normal(size=(2, n))
+        out = FftPlan(n, bins)(samples)
+        assert np.array_equal(np.abs(out), np.abs(FftPlan(n)(samples)[:, list(bins)]))
+
+    def test_prunes_only_the_late_stages(self):
+        assert len(FftPlan(2048, (37, 101, 173, 241))._twiddles) == 0  # all odd: stage 2 halves
+        assert len(FftPlan(512, tuple(range(56, 256)))._twiddles) == 8
+        assert len(FftPlan(64)._pruned) == 0
+
+    @pytest.mark.parametrize("bins", [(), (-1,), (64,), (2.5,)])
+    def test_rejects_bad_bins(self, bins):
+        with pytest.raises(ValueError):
+            FftPlan(64, bins)
 
 
 class TestMagnitude:

@@ -151,6 +151,20 @@ class TestBoundedHeap:
         assert large < 2400 * WIDE * 8 / 4
 
 
+    @pytest.mark.parametrize("detector", DETECT_ARGS)
+    def test_detect_holds_one_chunk(self, wide_runs, detector):
+        """Each chunk is released before the next one is read: one 2 MB chunk plus block
+        temporaries, not two chunks."""
+        work, _ = wide_runs
+        argv = [
+            "detect", "--frames", str(work / "gen600" / "frames.bin"),
+            "--config", str(work / "pipeline.json"), *DETECT_ARGS[detector],
+            "--out-dir", str(work / f"{detector}_one_chunk"),
+        ]
+        heap_peak(argv)  # warm-up: plans and caches of this frame size
+        assert heap_peak(argv) < 1.5 * spectral.CHUNK_SAMPLES * 8
+
+
 class TestBadFrameMidStream:
     @pytest.mark.parametrize("detector", DETECTORS)
     def test_error_line_and_no_out_dir(self, tmp_path, capsys, detector):
