@@ -101,7 +101,7 @@ def _run_fixed(chunks, config: PipelineConfig, calib_frames: int, frame_count: i
         raise ValueError("--calib-frames must be within the frame stream")
     pipeline, parts = Pipeline(config), []
     for chunk in chunks:
-        parts += [block.magnitudes for block in pipeline.process_blocks(chunk)]
+        parts += pipeline.magnitude_blocks(chunk)
         del chunk  # released before the next chunk is read
     mags = np.concatenate(parts)
     fixed = calibrate_fixed_thresholds(mags[:calib_frames])
@@ -226,12 +226,18 @@ def cmd_generate(args) -> int:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     # A stream the container cannot hold is rejected before the out-dir is made.
     io.pack_header(scenario.frame_size, scenario.sample_rate_hz, scenario.total_frames)
+    made = not Path(args.out_dir).exists()
     out_dir = io.ensure_dir(args.out_dir)
     stream = SyntheticStream(scenario)
-    with _frames_writer(out_dir, scenario) as writer:
-        for chunk in stream.chunks():
-            io.write_frames(writer, chunk)
-            del chunk  # released before the next chunk is made
+    try:
+        with _frames_writer(out_dir, scenario) as writer:
+            for chunk in stream.chunks():
+                io.write_frames(writer, chunk)
+                del chunk  # released before the next chunk is made
+    except BaseException:
+        if made:  # the writer removed frames.bin, so the out-dir is empty again
+            out_dir.rmdir()
+        raise
     io.write_truth(out_dir / "truth.csv", stream.truth)
     io.save_scenario(out_dir / "scenario.json", scenario)
     print(f"generated {scenario.total_frames} frames, {len(stream.truth)} events -> {out_dir}")

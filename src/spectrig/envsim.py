@@ -12,6 +12,8 @@ what makes multiplicative triggering against a tracked floor well-posed.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -21,6 +23,24 @@ import numpy as np
 from .spectral import BinSet, bin_indices, check_frame_format, chunk_rows
 
 GENERATOR_ID = "numpy:PCG64"
+
+# The fewest samples a synthesis range gets: handing a range to a thread costs
+# about 30 us, and 2**15 samples take about 280 us to synthesize.
+RANGE_MIN_SAMPLES = 1 << 15
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def synthesis_ranges(rows: int, frame_size: int) -> list[int]:
+    """Row bounds [0, ..., rows] of a chunk's synthesis ranges: one range per
+    usable CPU, but none under RANGE_MIN_SAMPLES samples or one row, so one at least."""
+    count = max(1, min(usable_cpus(), rows, rows * frame_size // RANGE_MIN_SAMPLES))
+    return [rows * i // count for i in range(count + 1)]
 
 
 @dataclass(frozen=True)
@@ -227,7 +247,15 @@ class SyntheticStream:
             yield generate(self, start, min(start + rows, total))[0]
 
     def _synthesize(self, start: int, stop: int, out: np.ndarray) -> None:
-        """Rows [start, stop) of the stream into ``out``, a (stop - start, N) array."""
+        """Rows [start, stop) of the stream into ``out``, a (stop - start, N) array.
+
+        The seeded draws and every chunk-sized array are made here, in the
+        calling thread. The rest, spectrum to samples, runs on disjoint row
+        ranges, one per usable CPU (see synthesis_ranges): each range but the
+        first on its own thread, the first in the caller, which then waits for
+        the others. Each range makes the same IEEE operations on its rows as
+        the whole chunk would, so the bytes do not depend on the split.
+        """
         scenario, rows = self.scenario, stop - start
         nyquist = scenario.frame_size // 2
         n_noise_bins = nyquist - 1  # interior bins 1 .. nyquist-1
@@ -238,14 +266,47 @@ class SyntheticStream:
         magnitude = rng.uniform(
             -scenario.magnitude_jitter, scenario.magnitude_jitter, size=(rows, n_noise_bins)
         )
-        # level * (1 + jitter) * exp(1j * phase), computed in place to hold fewer chunk-sized
-        # temporaries; each step is the same IEEE operation as in the whole-matrix expression.
+        # level * (1 + jitter), in place to hold fewer chunk-sized temporaries.
         magnitude += 1.0
         magnitude *= self._levels[start:stop, None]
         half_spectrum = np.zeros((rows, nyquist + 1), dtype=np.complex128)
+        bounds = synthesis_ranges(rows, scenario.frame_size)
+        args = [
+            (start + a, phases[a:b], magnitude[a:b], half_spectrum[a:b], out[a:b])
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        failures: list[BaseException] = []
+
+        def helper(*range_args) -> None:
+            try:
+                self._synthesize_range(*range_args)
+            except BaseException as exc:  # re-raised in the caller, after the join
+                failures.append(exc)
+
+        threads = []
+        try:
+            for range_args in args[1:]:
+                thread = threading.Thread(target=helper, args=range_args)
+                thread.start()
+                threads.append(thread)
+            self._synthesize_range(*args[0])
+        finally:
+            for thread in threads:
+                thread.join()
+        if failures:
+            raise failures[0]
+
+    def _synthesize_range(self, start, phases, magnitude, half_spectrum, out) -> None:
+        """Spectrum to samples for the rows from ``start`` on: exp(1j * phase) times the
+        magnitudes, plus the tones on these rows, through irfft into ``out``.
+
+        Writes only into its own (rows, N/2 + 1) spectrum and (rows, N) output,
+        and allocates no array of their size.
+        """
+        stop, nyquist = start + len(out), self.scenario.frame_size // 2
+        # In place, and each step the same IEEE operation as in the whole-matrix expression.
         interior = half_spectrum[:, 1:nyquist]
         np.multiply(phases, 1j, out=interior)
-        del phases
         np.exp(interior, out=interior)
         interior *= magnitude
         # Events are sorted and disjoint, so the tones ending after `start` come next.
@@ -254,7 +315,7 @@ class SyntheticStream:
                 break
             lo, hi = max(first, start), min(end, stop)
             half_spectrum[lo - start : hi - start, target] += tone[lo - first : hi - first]
-        np.fft.irfft(half_spectrum, n=scenario.frame_size, axis=1, out=out)
+        np.fft.irfft(half_spectrum, n=self.scenario.frame_size, axis=1, out=out)
 
 
 def generate(

@@ -51,9 +51,15 @@ def pack_header(frame_size: int, sample_rate_hz: float, frame_count: int) -> byt
     if not 0 < frame_count <= 0xFFFFFFFF:
         raise ValueError(f"a container holds 1 to {0xFFFFFFFF} frames, got {frame_count}")
     try:
-        return _HEADER.pack(FRAMES_MAGIC, FRAMES_VERSION, frame_size, sample_rate_hz, frame_count)
+        header = _HEADER.pack(FRAMES_MAGIC, FRAMES_VERSION, frame_size, sample_rate_hz, frame_count)
     except OverflowError as exc:  # a finite rate beyond the f32 range
         raise ValueError(f"sample rate {sample_rate_hz} does not fit the container: {exc}") from exc
+    stored = _HEADER.unpack(header)[3]
+    if stored != sample_rate_hz:
+        raise ValueError(
+            f"sample rate {sample_rate_hz} Hz is not exact as the container's f32 (reads back as {stored})"
+        )
+    return header
 
 
 class FrameWriter:

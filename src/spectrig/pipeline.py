@@ -150,27 +150,46 @@ class Pipeline:
         names the frame at fault by its index, and every frame before it has
         been processed.
         """
+        return self._blocks(samples, self._step)
+
+    def magnitude_blocks(self, samples) -> Iterator[np.ndarray]:
+        """The core's first layer alone: each block's (rows, bins) magnitudes, with no
+        floor update and no decision. Blocks, frame indices and errors are those of
+        process_blocks; a detector that needs only the magnitudes runs this."""
+        return self._blocks(samples, self._counted_magnitudes)
+
+    def _blocks(self, samples, step) -> Iterator:
+        """``step`` on each block of rows in order; a failed block is redone row by row."""
         samples, size = np.asarray(samples, dtype=np.float64), self.config.frame_size
         if samples.size and (samples.ndim != 2 or samples.shape[1] != size):
             raise ValueError(f"expected (frames, {size}) samples, got shape {samples.shape}")
         for start in range(0, len(samples), self._block_rows):
             block = samples[start : start + self._block_rows]
             try:
-                yield self._step(block)
+                yield step(block)
             except ValueError:
                 # Redo the block frame by frame, to name the frame at fault.
                 for row in range(start, start + len(block)):
                     try:
-                        yield self._step(samples[row : row + 1])
+                        yield step(samples[row : row + 1])
                     except ValueError as exc:
                         raise ValueError(f"frame {self._frames_processed}: {exc}") from exc
 
-    def _step(self, samples: np.ndarray) -> BlockResult:
-        """The detection core on one block of rows; raises before changing any state."""
+    def _magnitudes(self, samples: np.ndarray) -> np.ndarray:
+        """Window, pruned transform and |X|: a block's (rows, bins) magnitudes."""
         if self.config.window is not None:
             samples = samples * self.config.window
+        return np.abs(self._plan(samples))
+
+    def _counted_magnitudes(self, samples: np.ndarray) -> np.ndarray:
+        mags = self._magnitudes(samples)
+        self._frames_processed += len(samples)
+        return mags
+
+    def _step(self, samples: np.ndarray) -> BlockResult:
+        """The detection core on one block of rows; raises before changing any state."""
         first = self._frames_processed
-        mags = np.abs(self._plan(samples))
+        mags = self._magnitudes(samples)
 
         estimates = self._tracker.update_all(mags)
         margins = mags - self._coefficients * estimates

@@ -239,6 +239,15 @@ class TestErrors:
         assert stderr.startswith("error:") and "65535" in stderr
         assert not (out / "frames.bin").exists()
 
+    def test_rate_the_container_cannot_hold_exactly(self, replica_dir, tmp_path, capsys):
+        document = {**read_json(replica_dir / "scenario.json"), "sample_rate_hz": 44100.3}
+        io.dump_json(tmp_path / "scenario.json", document)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(tmp_path / "scenario.json"), "--out-dir", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: sample rate 44100.3") and "f32" in stderr
+        assert not out.exists()
+
     def test_rejected_container_header_makes_no_out_dir(self, replica_dir, tmp_path, capsys):
         document = {
             **read_json(replica_dir / "scenario.json"),

@@ -1,6 +1,7 @@
 """Scenario generator: determinism, structure, energy placement."""
 
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import whole_stream_reference
 
-from spectrig import spectral
+from spectrig import envsim, io, spectral
+from spectrig.cli import main
 from spectrig.envsim import (
     EventInterval,
     EventSpec,
@@ -20,6 +22,7 @@ from spectrig.envsim import (
     SyntheticStream,
     generate,
     replica_scenario,
+    synthesis_ranges,
 )
 from spectrig.pipeline import PipelineConfig
 from spectrig.spectral import BinSet, FftPlan
@@ -291,3 +294,106 @@ class TestChunkedGeneration:
             with pytest.raises(ValueError, match="outside the stream"):
                 generate(scenario, start, stop)
         assert generate(scenario, 50, 50)[0].shape == (0, 64)
+
+
+def split_every_chunk(monkeypatch, cpus: int) -> None:
+    """Give each chunk ``cpus`` synthesis ranges, however few rows it has."""
+    monkeypatch.setattr(envsim, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(envsim, "RANGE_MIN_SAMPLES", 1)
+
+
+def chunked(scenario, rows: int) -> np.ndarray:
+    with mock.patch.object(spectral, "CHUNK_SAMPLES", rows * scenario.frame_size):
+        return np.concatenate(list(SyntheticStream(scenario).chunks()))
+
+
+def eight_sample_scenario(seed=6) -> ScenarioConfig:
+    """N = 8: three noise bins per row, where numpy's complex loops are the most row-length sensitive."""
+    return small_scenario(
+        seed=seed,
+        frame_size=8,
+        bins=BinSet((1, 2, 3)),
+        phases=(PhaseSpec("only", 90, ramp=Ramp(2.0, 30.0), event_count=8),),
+        events=EventSpec(target_bins=(1, 3), amplitude_ratio=5.0, duration_frames=3),
+        warmup_frames=0,
+    )
+
+
+class TestSplitSynthesis:
+    """Rows of a chunk synthesized on several threads give the bytes of the unsplit stream."""
+
+    def test_ranges_follow_the_cpus_and_the_minimum(self, monkeypatch):
+        monkeypatch.setattr(envsim, "usable_cpus", lambda: 4)
+        assert synthesis_ranges(128, 2048) == [0, 32, 64, 96, 128]
+        assert synthesis_ranges(33, 4096) == [0, 8, 16, 24, 33]
+        assert synthesis_ranges(40, 2048) == [0, 20, 40]  # two ranges of 2**15 samples at most
+        assert synthesis_ranges(3, 8) == [0, 3]  # 24 samples: one range
+        assert synthesis_ranges(1, 1 << 16) == [0, 1]  # never an empty range
+        monkeypatch.setattr(envsim, "usable_cpus", lambda: 1)
+        assert synthesis_ranges(128, 2048) == [0, 128]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 90])
+    def test_eight_sample_frames(self, monkeypatch, cpus, rows):
+        scenario = eight_sample_scenario()
+        reference, _ = whole_stream_reference(scenario)
+        split_every_chunk(monkeypatch, cpus)
+        assert same_bits(chunked(scenario, rows), reference)
+        assert same_bits(generate(scenario, 5, 62)[0], reference[5:62])
+
+    def test_events_on_the_rows_where_ranges_meet(self, monkeypatch):
+        scenario = small_scenario(
+            seed=8,
+            event_count=12,
+            events=EventSpec(
+                target_bins=(3, 9, 14), amplitude_ratio=5.0, duration_frames=7, min_gap_frames=2
+            ),
+        )
+        reference, _ = whole_stream_reference(scenario)
+        split_every_chunk(monkeypatch, 2)
+        for rows in (9, 16, 17):
+            edges = {c + synthesis_ranges(min(rows, 300 - c), 64)[1] for c in range(0, 300, rows)}
+            truth = SyntheticStream(scenario).truth
+            assert any(iv.start_frame < edge < iv.end_frame for iv in truth for edge in edges)
+            assert same_bits(chunked(scenario, rows), reference)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        scenario = eight_sample_scenario(seed=11)
+        reference, _ = whole_stream_reference(scenario)
+        split_every_chunk(monkeypatch, 1)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        for rows in (1, 2, 7):
+            assert same_bits(chunked(scenario, rows), reference)
+        assert same_bits(generate(scenario)[0], reference)
+
+
+class TestHelperFailure:
+    """An exception in a helper thread's range reaches the caller; no unfinished chunk is used."""
+
+    @pytest.fixture
+    def failing_helper(self, monkeypatch):
+        split_every_chunk(monkeypatch, 2)
+        step = SyntheticStream._synthesize_range
+
+        def fail_off_the_main_thread(self, *args):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("helper range failed")
+            step(self, *args)
+
+        monkeypatch.setattr(SyntheticStream, "_synthesize_range", fail_off_the_main_thread)
+
+    def test_generate_raises(self, failing_helper):
+        with pytest.raises(ValueError, match="helper range failed"):
+            generate(small_scenario())
+
+    def test_cli_generate_reports_and_leaves_no_out_dir(self, failing_helper, tmp_path, capsys):
+        io.save_scenario(tmp_path / "scenario.json", small_scenario())
+        out = tmp_path / "out"
+        argv = ["generate", "--config", str(tmp_path / "scenario.json"), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: helper range failed")
+        assert not out.exists()

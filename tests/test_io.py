@@ -148,6 +148,14 @@ class TestChunkedContainer:
             io.FrameWriter(path, 16, 1e39, 2)  # above the f32 range
         assert not path.exists()
 
+    def test_rate_must_survive_the_f32_field(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        with pytest.raises(ValueError, match="44100.30078"):
+            io.FrameWriter(path, 16, 44100.3, 2)
+        assert not path.exists()
+        io.write_frames(path, some_frames(count=2), 44100.5)
+        assert io.read_frames(path)[1] == 44100.5
+
     def test_bad_chunk_names_its_frame_and_removes_the_file(self, tmp_path):
         path = tmp_path / "frames.bin"
         samples = some_frames(count=8)

@@ -308,6 +308,23 @@ class TestBlockCore:
         after = pipeline.process_frame(next_frame)
         assert np.array_equal(after.estimates, reference.process_frame(next_frame).estimates)
 
+    def test_magnitude_blocks_are_the_cores_magnitudes(self):
+        """The magnitudes alone come in the same blocks, with the same values and errors."""
+        frames = noisy_stream(9, 40, n=32, bins=(3, 9))
+        config = config_for([3, 9], n=32, fast=2, slow=4, window=np.hanning(32))
+        with mock.patch.object(pipeline_module, "BLOCK_SAMPLES", 32 * 7):
+            full, alone = Pipeline(config), Pipeline(config)
+        blocks = list(full.process_blocks(frames))
+        mags = list(alone.magnitude_blocks(frames[:10])) + list(alone.magnitude_blocks(frames[10:]))
+        assert [len(m) for m in mags] == [7, 3, 7, 7, 7, 7, 2]
+        assert np.array_equal(np.concatenate(mags), np.concatenate([b.magnitudes for b in blocks]))
+        assert alone.frames_processed == 40
+        frames[31, 4] = np.nan
+        pipeline = Pipeline(config)
+        list(pipeline.magnitude_blocks(frames[:20]))
+        with pytest.raises(ValueError, match="frame 31: samples must all be finite"):
+            list(pipeline.magnitude_blocks(frames[20:]))
+
     def test_empty_stream_gives_no_block(self):
         assert list(Pipeline(config_for([3])).process_blocks([])) == []
         assert list(Pipeline(config_for([3])).process_blocks(np.empty((0, 32)))) == []
