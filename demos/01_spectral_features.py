@@ -24,14 +24,14 @@ print(f"tone injected at bin {TONE_BIN} ({TONE_BIN * RATE / N:.1f} Hz)")
 
 # Monitor a handful of bins; only these ever reach the trigger logic.
 bins = BinSet((3, 9, 14, 21, 27, 36, 44, 52))
-features = magnitude(spectrum, bins)
+mags = magnitude(spectrum, bins)
 
 print("\nbin   freq_hz   magnitude")
-for k, f_hz, mag in zip(bins, bins.frequencies_hz(N, RATE), features.magnitudes):
+for k, f_hz, mag in zip(bins, bins.frequencies_hz(N, RATE), mags):
     marker = "  <-- tone" if k == TONE_BIN else ""
     print(f"{k:3d}   {f_hz:7.1f}   {mag:9.2f}{marker}")
 
 # The tone dominates: a sinusoid of amplitude A lands at magnitude A*N/2.
 expected = 2.0 * N / 2
 print(f"\nexpected tone magnitude A*N/2 = {expected:.1f}")
-print(f"measured at bin {TONE_BIN}      = {features.magnitudes[3]:.1f}")
+print(f"measured at bin {TONE_BIN}      = {mags[3]:.1f}")

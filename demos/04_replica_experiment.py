@@ -24,7 +24,7 @@ fired = [r.frame_index for r in results if r.event]
 
 # threshold trace: coefficient * floor at the bin closest to firing
 threshold = np.array(
-    [r.features.magnitudes[np.argmax(r.margins)] - np.max(r.margins) for r in results]
+    [r.magnitudes[np.argmax(r.margins)] - np.max(r.margins) for r in results]
 )
 metrics = build_metrics(
     fired,

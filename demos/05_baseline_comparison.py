@@ -34,7 +34,7 @@ proposed = score([r.frame_index for r in results if r.event], truth, total, warm
 
 # --- baseline B: fixed spectral threshold, calibrated on the quiet phase ---
 plan = FftPlan(scenario.frame_size)
-mags = np.vstack([magnitude(plan(row), scenario.bins).magnitudes for row in samples])
+mags = np.vstack([magnitude(plan(row), scenario.bins) for row in samples])
 quiet = scenario.phases[0].frame_count
 fixed_config = calibrate_fixed_thresholds(mags[:quiet])
 fixed_flags = fixed_spectral_detector(mags, fixed_config)

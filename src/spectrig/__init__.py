@@ -53,7 +53,7 @@ from .pipeline import (
     state_entry_count,
     state_memory_bytes,
 )
-from .spectral import BinSet, FftPlan, Frame, SpectralFeatures, fft, magnitude
+from .spectral import BinSet, FftPlan, Frame, fft, magnitude
 from .trigger import (
     PAYLOAD_BITS,
     ThresholdConfig,
@@ -91,7 +91,6 @@ __all__ = [
     "PipelineConfig",
     "Ramp",
     "ScenarioConfig",
-    "SpectralFeatures",
     "SyntheticStream",
     "ThresholdConfig",
     "TrafficStats",

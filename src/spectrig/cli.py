@@ -185,11 +185,26 @@ def _write_table(path: Path, keys, rows) -> None:
             fh.write(",".join(map(str, line)) + "\n")
 
 
-def _write_metrics_files(out_dir: Path, metrics: dict) -> None:
+def _score_into(out_dir, event_frames, truth, **layout) -> dict:
+    """Score events against truth (``layout`` as build_metrics takes it) and write
+    metrics.json, confusion.csv and per_phase.csv; out_dir is made once the metrics are built."""
+    metrics = build_metrics(event_frames, truth, **layout)
+    out_dir = io.ensure_dir(out_dir)
     io.dump_json(out_dir / "metrics.json", metrics)
     _write_table(out_dir / "confusion.csv", ("tp", "fp", "fn", "tn"), [metrics["confusion"]])
     if "per_phase" in metrics:
         _write_table(out_dir / "per_phase.csv", _PHASE_COLUMNS, metrics["per_phase"])
+    return metrics
+
+
+def _scenario_layout(scenario: ScenarioConfig) -> dict:
+    """build_metrics' frame and phase layout of a scenario."""
+    return {
+        "total_frames": scenario.total_frames,
+        "warmup_frames": scenario.warmup_frames,
+        "phase_bounds": scenario.phase_bounds(),
+        "monitored_bins": len(scenario.bins),
+    }
 
 
 def _print_metrics(metrics: dict, fmt: str) -> None:
@@ -206,12 +221,6 @@ def _print_metrics(metrics: dict, fmt: str) -> None:
             print(f"{key},{value}")
 
 
-def _frames_writer(out_dir: Path, scenario: ScenarioConfig) -> io.FrameWriter:
-    return io.FrameWriter(
-        out_dir / "frames.bin", scenario.frame_size, scenario.sample_rate_hz, scenario.total_frames
-    )
-
-
 def _appended(writer: io.FrameWriter, chunks):
     """Each chunk in turn, once it is appended to the container being written."""
     for chunk in chunks:
@@ -220,27 +229,53 @@ def _appended(writer: io.FrameWriter, chunks):
         del chunk  # released before the next chunk is made
 
 
-def cmd_generate(args) -> int:
-    scenario = io.load_scenario(args.config)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
-    # A stream the container cannot hold is rejected before the out-dir is made.
+def _drain(chunks) -> None:
+    for chunk in chunks:
+        del chunk  # a loop variable left bound would keep this chunk alive while the next is made
+
+
+def _generate_into(out_dir, scenario: ScenarioConfig, consume=_drain):
+    """Generate ``scenario`` into out_dir: frames.bin, truth.csv and scenario.json.
+
+    Each chunk goes to ``consume`` (an iterator of chunks in, any result out)
+    once it is appended to frames.bin. Returns (truth, consume's result). The
+    header is checked before out_dir is made, and if the stream fails the
+    out_dir made here is removed.
+    """
     io.pack_header(scenario.frame_size, scenario.sample_rate_hz, scenario.total_frames)
-    made = not Path(args.out_dir).exists()
-    out_dir = io.ensure_dir(args.out_dir)
+    made = not Path(out_dir).exists()
+    out_dir = io.ensure_dir(out_dir)
     stream = SyntheticStream(scenario)
     try:
-        with _frames_writer(out_dir, scenario) as writer:
-            for chunk in stream.chunks():
-                io.write_frames(writer, chunk)
-                del chunk  # released before the next chunk is made
+        with io.FrameWriter(
+            out_dir / "frames.bin", scenario.frame_size, scenario.sample_rate_hz, scenario.total_frames
+        ) as writer:
+            result = consume(_appended(writer, stream.chunks()))
     except BaseException:
         if made:  # the writer removed frames.bin, so the out-dir is empty again
             out_dir.rmdir()
         raise
     io.write_truth(out_dir / "truth.csv", stream.truth)
     io.save_scenario(out_dir / "scenario.json", scenario)
-    print(f"generated {scenario.total_frames} frames, {len(stream.truth)} events -> {out_dir}")
+    return stream.truth, result
+
+
+def _write_detection(out_dir, config: PipelineConfig, rows, series=None) -> Path:
+    """Write events.csv, series.csv (when given) and pipeline.json into out_dir."""
+    out_dir = io.ensure_dir(out_dir)
+    if series is not None:
+        io.write_series(out_dir / "series.csv", series)
+    io.write_events(out_dir / "events.csv", rows)
+    io.save_pipeline_config(out_dir / "pipeline.json", config)
+    return out_dir
+
+
+def cmd_generate(args) -> int:
+    scenario = io.load_scenario(args.config)
+    if args.seed is not None:
+        scenario = dataclasses.replace(scenario, seed=args.seed)
+    truth, _ = _generate_into(args.out_dir, scenario)
+    print(f"generated {scenario.total_frames} frames, {len(truth)} events -> {Path(args.out_dir)}")
     return 0
 
 
@@ -270,12 +305,7 @@ def cmd_detect(args) -> int:
             rows = _run_decimated(frames.blocks(), DecimationConfig(decimation_factor=args.decimation))
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(f"unknown detector {args.detector}")
-
-    out_dir = io.ensure_dir(args.out_dir)
-    if series is not None:
-        io.write_series(out_dir / "series.csv", series)
-    io.write_events(out_dir / "events.csv", rows)
-    io.save_pipeline_config(out_dir / "pipeline.json", config)
+    out_dir = _write_detection(args.out_dir, config, rows, series)
     print(f"detector={args.detector} events={len(rows)} -> {out_dir}")
     return 0
 
@@ -283,71 +313,35 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     events = io.read_events(args.events)
     truth = io.read_truth(args.truth)
-    out_dir = io.ensure_dir(args.out_dir)
-
-    phase_bounds = None
-    threshold_series = None
-    monitored_bins = None
     if args.scenario is not None:
-        scenario = io.load_scenario(args.scenario)
-        total_frames = scenario.total_frames
-        warmup = scenario.warmup_frames
-        phase_bounds = scenario.phase_bounds()
-        monitored_bins = len(scenario.bins)
+        layout = _scenario_layout(io.load_scenario(args.scenario))
+    elif args.total_frames is None:
+        raise ValueError("pass --scenario or --total-frames")
     else:
-        if args.total_frames is None:
-            raise ValueError("pass --scenario or --total-frames")
-        total_frames = args.total_frames
-        warmup = args.warmup_frames
+        layout = {"total_frames": args.total_frames, "warmup_frames": args.warmup_frames}
     if args.series is not None:
-        threshold_series = io.read_series(args.series)["threshold"]
-
-    metrics = build_metrics(
-        [row.frame for row in events],
-        truth,
-        total_frames,
-        warmup,
-        phase_bounds=phase_bounds,
-        threshold_series=threshold_series,
-        monitored_bins=monitored_bins,
-    )
-    _write_metrics_files(out_dir, metrics)
+        layout["threshold_series"] = io.read_series(args.series)["threshold"]
+    metrics = _score_into(args.out_dir, [row.frame for row in events], truth, **layout)
     _print_metrics(metrics, args.format)
     return 0
 
 
 def cmd_replica(args) -> int:
+    """generate, detect (proposed) and eval into one out-dir, in one pass, plus report.json."""
     started = time.monotonic()
     scenario = replica_scenario(seed=args.seed)
-    pipeline_config = replica_pipeline_config(scenario, tracker=args.tracker)
-    out_dir = io.ensure_dir(args.out_dir)
-
-    # One pass: each generated chunk is appended to frames.bin and fed to the detector.
-    stream = SyntheticStream(scenario)
-    with _frames_writer(out_dir, scenario) as writer:
-        rows, series = _run_proposed(_appended(writer, stream.chunks()), pipeline_config)
-    truth = stream.truth
-    io.write_truth(out_dir / "truth.csv", truth)
-    io.save_scenario(out_dir / "scenario.json", scenario)
-    io.write_events(out_dir / "events.csv", rows)
-    io.write_series(out_dir / "series.csv", series)
-    io.save_pipeline_config(out_dir / "pipeline.json", pipeline_config)
-
-    metrics = build_metrics(
-        [row.frame for row in rows],
-        truth,
-        scenario.total_frames,
-        scenario.warmup_frames,
-        phase_bounds=scenario.phase_bounds(),
-        threshold_series=series["threshold"],
-        monitored_bins=len(scenario.bins),
+    config = replica_pipeline_config(scenario, tracker=args.tracker)
+    # One pass: each chunk goes to the detector once it is appended to frames.bin.
+    truth, (rows, series) = _generate_into(
+        args.out_dir, scenario, lambda chunks: _run_proposed(chunks, config)
     )
-    _write_metrics_files(out_dir, metrics)
-
+    out_dir = _write_detection(args.out_dir, config, rows, series)
+    layout = {**_scenario_layout(scenario), "threshold_series": series["threshold"]}
+    metrics = _score_into(out_dir, [row.frame for row in rows], truth, **layout)
     report = {
         "config": {
             "scenario": io.scenario_to_dict(scenario),
-            "pipeline": io.pipeline_config_to_dict(pipeline_config),
+            "pipeline": io.pipeline_config_to_dict(config),
             "detector": "proposed",
             "generator": GENERATOR_ID,
         },

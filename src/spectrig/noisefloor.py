@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -25,24 +23,15 @@ class MedianWindows:
         self._values = np.tile(empty, (rows, 1))
         self._next = 0
 
-    def push(self, values, row: int | None = None) -> None:
-        """Insert one value per row, or only into ``row``, evicting the oldest.
+    def push(self, values) -> None:
+        """Insert one value per row, evicting each row's oldest."""
+        self._values[:, self._next] = values
+        self._next = (self._next + 1) % self.capacity
 
-        A row advanced alone is rotated so its oldest entry is back at the
-        shared write slot."""
-        if row is None:
-            self._values[:, self._next] = values
-            self._next = (self._next + 1) % self.capacity
-        else:
-            self._values[row, self._next] = values
-            self._values[row] = np.roll(self._values[row], -1)
-
-    def medians(self, row: int | None = None):
-        """Median of every row (an array) or of one row; the windows are not reordered."""
+    def medians(self) -> np.ndarray:
+        """Median of every row; the windows are not reordered."""
         mid = self.capacity // 2
-        if row is None:
-            return np.partition(self._values, mid, axis=1)[:, mid]
-        return np.partition(self._values[row], mid)[mid]
+        return np.partition(self._values, mid, axis=1)[:, mid]
 
 
 class MedianBuffer(MedianWindows):
@@ -59,7 +48,7 @@ class MedianBuffer(MedianWindows):
     def median(self) -> float:
         if self.fill_count == 0:
             raise ValueError("median of an empty buffer")
-        return float(self.medians(0))
+        return float(self.medians()[0])
 
     def contents(self) -> np.ndarray:
         """Copy of the filled window (storage order, not insertion order)."""
@@ -67,23 +56,18 @@ class MedianBuffer(MedianWindows):
 
 
 class _BinTracker:
-    """Per-bin estimates; subclasses supply ``_advance(magnitudes, row)``, one
-    frame's update of every bin (row None) or of one bin, returning estimates."""
+    """Per-bin estimates; subclasses supply ``_advance(magnitudes)``, one frame's
+    update of every bin, returning the new estimates. Every bin updates on every frame."""
 
     def __init__(self, bins):
         self.bins = tuple(bins)
-        self._rows = {k: i for i, k in enumerate(self.bins)}
         self._estimates = np.zeros(len(self.bins))
 
     def update(self, bin_index: int, magnitude: float) -> float:
-        """Insert one magnitude for one bin and return the refreshed estimate."""
-        if bin_index not in self._rows:
-            raise KeyError(f"bin {bin_index} is not tracked")
-        if not math.isfinite(magnitude) or magnitude < 0:
-            raise ValueError(f"magnitude must be finite and >= 0, got {magnitude}")
-        row = self._rows[bin_index]
-        self._estimates[row] = self._advance(float(magnitude), row)
-        return float(self._estimates[row])
+        """update_all for a one-bin tracker: one magnitude in, the refreshed estimate out."""
+        if self.bins != (bin_index,):
+            raise KeyError(f"bin {bin_index} is not the one bin tracked; use update_all")
+        return float(self.update_all([magnitude])[0])
 
     def update_all(self, magnitudes) -> np.ndarray:
         """Update every bin with one frame's magnitudes, shape (M,), or with a
@@ -123,17 +107,17 @@ class NoiseFloorState(_BinTracker):
         self.stage1 = MedianWindows(fast_window, len(self.bins))
         self.stage2 = MedianWindows(slow_window, len(self.bins))
 
-    def _advance(self, magnitudes, row=None):
-        self.stage1.push(magnitudes, row)
-        self.stage2.push(self.stage1.medians(row), row)
-        return self.stage2.medians(row)
+    def _advance(self, magnitudes):
+        self.stage1.push(magnitudes)
+        self.stage2.push(self.stage1.medians())
+        return self.stage2.medians()
 
 
 class EmaTracker(_BinTracker):
     """Single-pole exponential tracker, selectable in place of the cascade.
 
     estimate <- alpha * estimate + (1 - alpha) * magnitude, seeded with the
-    first magnitude seen per bin.
+    first frame's magnitudes.
     """
 
     def __init__(self, bins, alpha: float = 0.95):
@@ -141,11 +125,10 @@ class EmaTracker(_BinTracker):
             raise ValueError("alpha must be in (0, 1)")
         super().__init__(bins)
         self.alpha = alpha
-        self._seen = np.zeros(len(self.bins), dtype=bool)
+        self._seeded = False
 
-    def _advance(self, magnitudes, row=None):
-        rows = slice(None) if row is None else row
-        blended = self.alpha * self._estimates[rows] + (1.0 - self.alpha) * magnitudes
-        estimate = np.where(self._seen[rows], blended, magnitudes)
-        self._seen[rows] = True
-        return estimate
+    def _advance(self, magnitudes):
+        if not self._seeded:
+            self._seeded = True
+            return magnitudes.copy()
+        return self.alpha * self._estimates + (1.0 - self.alpha) * magnitudes

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noisefloor import EmaTracker, NoiseFloorState
-from .spectral import BinSet, FftPlan, Frame, SpectralFeatures, check_frame_format
+from .spectral import BinSet, FftPlan, Frame, check_frame_format
 from .trigger import (
     MAX_BIN_ID,
     ThresholdConfig,
@@ -76,7 +76,7 @@ class FrameResult:
     """Outputs of one pipeline step, enough to reconstruct the decision."""
 
     frame_index: int
-    features: SpectralFeatures
+    magnitudes: np.ndarray
     estimates: np.ndarray
     margins: np.ndarray
     event: int
@@ -98,10 +98,9 @@ class BlockResult:
         return len(self.records)
 
     def frame_result(self, t: int) -> FrameResult:
-        index = int(self.frame_indices[t])
         return FrameResult(
-            frame_index=index,
-            features=SpectralFeatures(frame_index=index, magnitudes=self.magnitudes[t]),
+            frame_index=int(self.frame_indices[t]),
+            magnitudes=self.magnitudes[t],
             estimates=self.estimates[t],
             margins=self.margins[t],
             event=int(self.events[t]),

@@ -103,20 +103,6 @@ class BinSet:
         return np.asarray(self.bins, dtype=np.float64) * sample_rate_hz / frame_size
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralFeatures:
-    """Magnitudes at the monitored bins for one frame (or one row per frame)."""
-
-    frame_index: int
-    magnitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        mags = np.asarray(self.magnitudes, dtype=np.float64)
-        if not np.isfinite(mags).all() or (mags < 0).any():
-            raise ValueError("magnitudes must be finite and non-negative")
-        object.__setattr__(self, "magnitudes", mags)
-
-
 def _bit_reverse_indices(n: int) -> np.ndarray:
     bits = n.bit_length() - 1
     idx = np.arange(n, dtype=np.intp)
@@ -236,9 +222,12 @@ def fft(frame: Frame) -> np.ndarray:
     return _plan_for(frame.size)(frame.samples)
 
 
-def magnitude(spectrum, bins: BinSet, frame_index: int = 0) -> SpectralFeatures:
-    """Extract sqrt(Re^2 + Im^2) at the monitored bins only (per row of a block)."""
+def magnitude(spectrum, bins: BinSet) -> np.ndarray:
+    """sqrt(Re^2 + Im^2) at the monitored bins only: shape (M,), or (T, M) for a block
+    of spectra; a non-finite value at a monitored bin is rejected."""
     spec = np.asarray(spectrum, dtype=np.complex128)
     bins.validate_for(spec.shape[-1])
     mags = np.abs(spec[..., np.asarray(bins.bins, dtype=np.intp)])
-    return SpectralFeatures(frame_index=frame_index, magnitudes=mags)
+    if not np.isfinite(mags).all():
+        raise ValueError("magnitudes must be finite")
+    return mags

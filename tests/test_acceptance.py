@@ -167,7 +167,7 @@ def test_criterion_7_baseline_ordering(replica_run):
     samples, truth = generate(scenario)
     plan = FftPlan(scenario.frame_size)
     mags = np.vstack(
-        [magnitude(plan(row), scenario.bins).magnitudes for row in samples]
+        [magnitude(plan(row), scenario.bins) for row in samples]
     )
     fixed = calibrate_fixed_thresholds(mags[: scenario.phases[0].frame_count])
     flags = fixed_spectral_detector(mags, fixed)

@@ -35,7 +35,7 @@ def three_phase_scenario(seed=21) -> ScenarioConfig:
 
 def features_of(samples, bins):
     plan = FftPlan(samples.shape[1])
-    return np.vstack([magnitude(plan(row), bins).magnitudes for row in samples])
+    return np.vstack([magnitude(plan(row), bins) for row in samples])
 
 
 class TestFixedThreshold:

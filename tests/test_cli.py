@@ -9,7 +9,7 @@ import pytest
 from spectrig import io
 from spectrig import pipeline as pipeline_module
 from spectrig.cli import main
-from spectrig.envsim import replica_scenario
+from spectrig.envsim import SyntheticStream, replica_scenario
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,12 @@ class TestReplica:
 
 
 class TestRoundTrip:
-    def test_generate_detect_eval_equals_replica(self, replica_dir, tmp_path):
+    @pytest.mark.parametrize("tracker", ["median", "ema"])
+    def test_generate_detect_eval_equals_replica(self, replica_dir, tmp_path, tracker):
+        if tracker != "median":
+            replica_dir = tmp_path / "replica"
+            argv = ["replica", "--seed", "42", "--tracker", tracker, "--out-dir", str(replica_dir)]
+            assert main(argv) == 0
         gen_dir = tmp_path / "gen"
         det_dir = tmp_path / "det"
         eval_dir = tmp_path / "eval"
@@ -118,6 +123,13 @@ class TestRoundTrip:
             "--out-dir", str(eval_dir),
         ]) == 0
         assert (eval_dir / "metrics.json").read_bytes() == (replica_dir / "metrics.json").read_bytes()
+        for step_dir, names in (
+            (gen_dir, ("scenario.json",)),
+            (det_dir, ("pipeline.json",)),
+            (eval_dir, ("confusion.csv", "per_phase.csv")),
+        ):
+            for name in names:
+                assert (step_dir / name).read_bytes() == (replica_dir / name).read_bytes(), name
 
     def test_eval_of_truth_against_itself_is_perfect(self, replica_dir, tmp_path):
         # use the truth file as the event stream: every interval is hit
@@ -200,6 +212,7 @@ class TestErrors:
             "--truth", str(replica_dir / "truth.csv"),
             "--out-dir", str(tmp_path / "out"),
         ]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_bin_above_payload_limit_rejected_before_any_frame(
         self, tmp_path, capsys, monkeypatch
@@ -260,18 +273,40 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["generate", "detect"])
+    @pytest.mark.parametrize("command", ["generate", "detect", "eval"])
     def test_wrongly_typed_json_field_is_an_error_line(self, replica_dir, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
         if command == "generate":
             document = {**read_json(replica_dir / "scenario.json"), "phases": 5}
-            args = ["generate"]
-        else:
+            args = ["generate", "--config", str(config)]
+        elif command == "detect":
             document = {**read_json(replica_dir / "pipeline.json"), "bins": 5}
-            args = ["detect", "--frames", str(replica_dir / "frames.bin")]
-        io.dump_json(tmp_path / "config.json", document)
+            args = ["detect", "--frames", str(replica_dir / "frames.bin"), "--config", str(config)]
+        else:
+            document = {**read_json(replica_dir / "scenario.json"), "phases": 5}
+            args = [
+                "eval", "--events", str(replica_dir / "events.csv"),
+                "--truth", str(replica_dir / "truth.csv"), "--scenario", str(config),
+            ]
+        io.dump_json(config, document)
         out = tmp_path / "out"
-        assert main(args + ["--config", str(tmp_path / "config.json"), "--out-dir", str(out)]) == 2
+        assert main(args + ["--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_replica_generation_failure_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
+        """Generation failing on a later chunk's rows: an error line, exit 2 and no out-dir."""
+        step = SyntheticStream._synthesize_range
+
+        def fail_past_row_3000(self, start, phases, magnitude, half_spectrum, out):
+            if start + len(out) > 3000:
+                raise ValueError("synthesis failed")
+            step(self, start, phases, magnitude, half_spectrum, out)
+
+        monkeypatch.setattr(SyntheticStream, "_synthesize_range", fail_past_row_3000)
+        out = tmp_path / "out"
+        assert main(["replica", "--seed", "42", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: synthesis failed")
         assert not out.exists()
 
     def test_zero_frame_container_without_config(self, replica_dir, tmp_path):

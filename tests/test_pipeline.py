@@ -80,7 +80,7 @@ class TestProcessFrame:
         assert record is not None
         assert record.bin_id == target
         assert record.strength == pytest.approx(3.0, rel=1e-9)
-        assert results[spike_at].features.magnitudes[1] == pytest.approx(
+        assert results[spike_at].magnitudes[1] == pytest.approx(
             3 * base_mag, rel=1e-9
         )
         # independent naive pipeline agrees on the event set
@@ -116,8 +116,8 @@ class TestProcessFrame:
         tapered = config_for([target], n=n, window=np.full(n, 0.5))
         plain = config_for([target], n=n)
         frame = tone_frame(n, target, 1.0)
-        mag_tapered = Pipeline(tapered).process_frame(frame).features.magnitudes[0]
-        mag_plain = Pipeline(plain).process_frame(frame).features.magnitudes[0]
+        mag_tapered = Pipeline(tapered).process_frame(frame).magnitudes[0]
+        mag_plain = Pipeline(plain).process_frame(frame).magnitudes[0]
         assert mag_tapered == pytest.approx(0.5 * mag_plain, rel=1e-12)
 
     def test_margins_and_strength_consistency_on_events(self):
@@ -172,7 +172,7 @@ class TestRunStream:
         ]
         for a, b in zip(batch, sequential):
             assert a.frame_index == b.frame_index
-            assert np.array_equal(a.features.magnitudes, b.features.magnitudes)
+            assert np.array_equal(a.magnitudes, b.magnitudes)
             assert np.array_equal(a.estimates, b.estimates)
             assert np.array_equal(a.margins, b.margins)
             assert a.event == b.event
@@ -213,7 +213,7 @@ def noisy_stream(seed: int, count: int, n: int = 16, bins=(1, 3, 6)) -> np.ndarr
 def stacked(results):
     """Frame-by-frame results as the arrays of a block."""
     return (
-        np.array([r.features.magnitudes for r in results]),
+        np.array([r.magnitudes for r in results]),
         np.array([r.estimates for r in results]),
         np.array([r.margins for r in results]),
         [r.event for r in results],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectrig.spectral import BinSet, FftPlan, Frame, SpectralFeatures, fft, magnitude
+from spectrig.spectral import BinSet, FftPlan, Frame, fft, magnitude
 
 from oracles import naive_dft, radix2_reference
 
@@ -174,10 +174,10 @@ class TestBlocks:
         rng = np.random.default_rng(23)
         spectra = rng.normal(size=(4, 32)) + 1j * rng.normal(size=(4, 32))
         bins = BinSet((1, 5, 16))
-        features = magnitude(spectra, bins, frame_index=10)
-        assert features.magnitudes.shape == (4, 3)
-        for row, spectrum in zip(features.magnitudes, spectra):
-            assert np.array_equal(row, magnitude(spectrum, bins).magnitudes)
+        mags = magnitude(spectra, bins)
+        assert mags.shape == (4, 3)
+        for row, spectrum in zip(mags, spectra):
+            assert np.array_equal(row, magnitude(spectrum, bins))
 
     def test_block_shape_checked(self):
         plan = FftPlan(16)
@@ -258,28 +258,32 @@ class TestMagnitude:
     def test_three_four_five(self):
         spectrum = np.zeros(16, dtype=complex)
         spectrum[2] = 3 + 4j
-        features = magnitude(spectrum, BinSet((2,)))
-        assert features.magnitudes[0] == pytest.approx(5.0)
+        mags = magnitude(spectrum, BinSet((2,)))
+        assert mags[0] == pytest.approx(5.0)
 
     def test_zero_spectrum(self):
-        features = magnitude(np.zeros(16, dtype=complex), BinSet((0, 3, 8)))
-        assert np.all(features.magnitudes == 0.0)
+        mags = magnitude(np.zeros(16, dtype=complex), BinSet((0, 3, 8)))
+        assert np.all(mags == 0.0)
 
     def test_matches_modulus_oracle(self):
         rng = np.random.default_rng(19)
         spectrum = rng.normal(size=32) + 1j * rng.normal(size=32)
         bins = BinSet((1, 5, 9))
-        features = magnitude(spectrum, bins, frame_index=4)
+        mags = magnitude(spectrum, bins)
         expected = [abs(spectrum[k]) for k in (1, 5, 9)]
-        assert features.magnitudes == pytest.approx(expected, rel=1e-12)
-        assert features.frame_index == 4
+        assert mags == pytest.approx(expected, rel=1e-12)
 
     def test_bin_out_of_range(self):
         with pytest.raises(ValueError):
             magnitude(np.zeros(16, dtype=complex), BinSet((9,)))
 
     def test_features_reject_negative_or_non_finite(self):
-        with pytest.raises(ValueError):
-            SpectralFeatures(frame_index=0, magnitudes=np.array([1.0, -2.0]))
-        with pytest.raises(ValueError):
-            SpectralFeatures(frame_index=0, magnitudes=np.array([np.nan]))
+        """Magnitudes are never negative, and a non-finite spectrum value is rejected."""
+        assert np.all(magnitude(np.full(16, -2.0 - 3.0j), BinSet((1, 2))) >= 0.0)
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            spectrum = np.ones(16, dtype=complex)
+            spectrum[2] = bad
+            with pytest.raises(ValueError):
+                magnitude(spectrum, BinSet((1, 2)))
+            with pytest.raises(ValueError):
+                magnitude(np.vstack([np.ones(16), spectrum]), BinSet((2,)))
