@@ -4,7 +4,7 @@ Library layout:
   spectral    frame/bin types and the radix-2 transform
   noisefloor  dual-stage cascaded median tracker (and an EMA variant)
   trigger     multiplicative threshold decisions and the 64-bit payload
-  pipeline    per-frame detector, latency and memory accounting
+  pipeline    block-wise detector, latency and memory accounting
   envsim      deterministic three-phase scenario generator + ground truth
   baselines   fixed-threshold and decimated comparison detectors
   evaluation  confusion scoring, traffic and payload metrics

@@ -311,6 +311,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.series is not None and args.scenario is None:
+        raise ValueError("--series needs --scenario: threshold statistics are taken per phase")
     events = io.read_events(args.events)
     truth = io.read_truth(args.truth)
     if args.scenario is not None:

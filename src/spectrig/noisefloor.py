@@ -5,33 +5,74 @@ from __future__ import annotations
 import numpy as np
 
 
+# Values selected over in one np.partition call: a block's windows are cut into
+# groups of frames of at most this many values (2**16 measured fastest).
+SELECT_VALUES = 1 << 16
+
+
 class MedianWindows:
-    """Fixed-capacity circular windows, one row per series, with order-statistic medians.
+    """Sliding windows of fixed capacity, one row per series, with order-statistic medians.
+
+    Each row's current window is kept in arrival order at the end of a
+    history buffer with slack, so the windows after every push of a block
+    are overlapping views of that buffer, and one selection over them gives
+    the block's medians.
 
     The median of f filled samples is order statistic f // 2 (the upper
-    middle for even f; never interpolated). Unfilled slots hold +inf at even
-    and -inf at odd positions and fill in order, leaving capacity//2 - f//2
-    of -inf, so order statistic capacity // 2 of the whole row is exactly
-    that median at every fill level: one fixed-index selection for all rows.
+    middle for even f; never interpolated). A new window holds +inf at even
+    and -inf at odd positions, evicted first, oldest first, leaving
+    capacity//2 - f//2 of -inf after f pushes, so order statistic
+    capacity // 2 of the whole window is exactly that median at every fill
+    level: one fixed-index selection for all rows.
     """
 
     def __init__(self, capacity: int, rows: int = 1):
         if capacity < 1:
             raise ValueError("buffer capacity must be >= 1")
         self.capacity = capacity
-        empty = np.where(np.arange(capacity) % 2 == 0, np.inf, -np.inf)
-        self._values = np.tile(empty, (rows, 1))
-        self._next = 0
+        self._history = np.empty((rows, 2 * capacity))  # the window, then slack
+        self._history[:, :capacity] = np.where(np.arange(capacity) % 2 == 0, np.inf, -np.inf)
+        self._end = capacity  # one past the newest value
 
-    def push(self, values) -> None:
-        """Insert one value per row, evicting each row's oldest."""
-        self._values[:, self._next] = values
-        self._next = (self._next + 1) % self.capacity
+    def push(self, values) -> np.ndarray:
+        """Append one value per row, or a (rows, T) block of T values per row in
+        order, evicting each row's oldest; returns the medians after each push,
+        shape (rows,) or (rows, T)."""
+        block = np.asarray(values, dtype=np.float64)
+        single = block.ndim < 2
+        if single:
+            block = np.broadcast_to(block, self._history.shape[:1])[:, None]
+        count, cap = block.shape[1], self.capacity
+        if self._end + count > self._history.shape[1]:
+            window = self._history[:, self._end - cap : self._end]
+            if cap + count > self._history.shape[1]:
+                self._history = np.empty((len(window), cap + max(cap, count)))
+            self._history[:, :cap] = window  # the current window moves to the front
+            self._end = cap
+        self._history[:, self._end : self._end + count] = block
+        self._end += count
+        medians = self._select(self._end - count + 1 - cap, count)
+        return medians[:, 0] if single else medians
 
     def medians(self) -> np.ndarray:
-        """Median of every row; the windows are not reordered."""
-        mid = self.capacity // 2
-        return np.partition(self._values, mid, axis=1)[:, mid]
+        """Median of every row's current window; nothing is reordered."""
+        return self._select(self._end - self.capacity, 1)[:, 0]
+
+    def _select(self, first: int, count: int) -> np.ndarray:
+        """(rows, count) medians of the windows starting at history columns
+        first, first + 1, ..., each taken from a strided view, a group at a time."""
+        history, cap = self._history, self.capacity
+        rows, item = len(history), history.itemsize
+        medians = np.empty((rows, count))
+        group = max(1, SELECT_VALUES // (rows * cap))
+        for start in range(0, count, group):
+            n = min(group, count - start)
+            windows = np.ndarray(
+                (rows, n, cap), history.dtype, history, (first + start) * item,
+                (history.strides[0], item, item),
+            )
+            medians[:, start : start + n] = np.partition(windows, cap // 2, axis=2)[:, :, cap // 2]
+        return medians
 
 
 class MedianBuffer(MedianWindows):
@@ -51,13 +92,14 @@ class MedianBuffer(MedianWindows):
         return float(self.medians()[0])
 
     def contents(self) -> np.ndarray:
-        """Copy of the filled window (storage order, not insertion order)."""
-        return self._values[0, : self.fill_count].copy()
+        """Copy of the filled window, oldest first."""
+        return self._history[0, self._end - self.fill_count : self._end].copy()
 
 
 class _BinTracker:
-    """Per-bin estimates; subclasses supply ``_advance(magnitudes)``, one frame's
-    update of every bin, returning the new estimates. Every bin updates on every frame."""
+    """Per-bin estimates; subclasses supply ``_track(block)``, the update of every
+    bin by a (T, M) block of frames in order, returning the (T, M) estimates after
+    each frame. Every bin updates on every frame."""
 
     def __init__(self, bins):
         self.bins = tuple(bins)
@@ -71,16 +113,17 @@ class _BinTracker:
 
     def update_all(self, magnitudes) -> np.ndarray:
         """Update every bin with one frame's magnitudes, shape (M,), or with a
-        (T, M) block of frames in order; returns estimates of the same shape."""
+        (T, M) block of frames in order; returns estimates of the same shape.
+        Magnitudes are checked before any state changes."""
         mags = np.asarray(magnitudes, dtype=np.float64)
         if mags.ndim not in (1, 2) or mags.shape[-1] != len(self.bins):
             raise ValueError(f"expected {len(self.bins)} magnitudes per frame, got {mags.shape}")
         if not np.isfinite(mags).all() or (mags < 0).any():
             raise ValueError("magnitudes must be finite and >= 0")
         block = mags.reshape(-1, len(self.bins))
-        estimates = np.empty_like(block)
-        for t, frame in enumerate(block):
-            estimates[t] = self._estimates = self._advance(frame)
+        estimates = self._track(block)
+        if len(block):
+            self._estimates = estimates[-1].copy()
         return estimates.reshape(mags.shape)
 
     @property
@@ -95,7 +138,8 @@ class NoiseFloorState(_BinTracker):
     Stage 1 is a short window that absorbs single-frame artifacts; its
     median feeds stage 2, a long window that follows slow ambient drift.
     Both stages update unconditionally on every frame, trigger or not.
-    Each stage keeps all bins as one (bins, window) matrix.
+    Each stage keeps all bins as one MedianWindows, one row per bin, and a
+    block of frames goes through each stage as one (bins, T) push.
     """
 
     def __init__(self, bins, fast_window: int = 3, slow_window: int = 64):
@@ -107,10 +151,8 @@ class NoiseFloorState(_BinTracker):
         self.stage1 = MedianWindows(fast_window, len(self.bins))
         self.stage2 = MedianWindows(slow_window, len(self.bins))
 
-    def _advance(self, magnitudes):
-        self.stage1.push(magnitudes)
-        self.stage2.push(self.stage1.medians())
-        return self.stage2.medians()
+    def _track(self, block):
+        return self.stage2.push(self.stage1.push(block.T)).T
 
 
 class EmaTracker(_BinTracker):
@@ -127,8 +169,14 @@ class EmaTracker(_BinTracker):
         self.alpha = alpha
         self._seeded = False
 
-    def _advance(self, magnitudes):
-        if not self._seeded:
-            self._seeded = True
-            return magnitudes.copy()
-        return self.alpha * self._estimates + (1.0 - self.alpha) * magnitudes
+    def _track(self, block):
+        """The recursion frame by frame, with the same float operations for any block size."""
+        estimates = np.empty_like(block)
+        estimate = self._estimates
+        for t, magnitudes in enumerate(block):
+            if self._seeded:
+                estimate = self.alpha * estimate + (1.0 - self.alpha) * magnitudes
+            else:
+                estimate, self._seeded = magnitudes, True
+            estimates[t] = estimate
+        return estimates

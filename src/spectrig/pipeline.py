@@ -14,9 +14,9 @@ from .trigger import (
     MAX_BIN_ID,
     ThresholdConfig,
     TriggerEvent,
-    decide_bin,
-    decide_event,
+    bins_over,
     first_firing_bin,
+    frames_fired,
 )
 
 TRACKER_MEDIAN = "median"
@@ -186,14 +186,20 @@ class Pipeline:
         return mags
 
     def _step(self, samples: np.ndarray) -> BlockResult:
-        """The detection core on one block of rows; raises before changing any state."""
+        """The detection core on one block of rows; raises before changing any state.
+
+        Each input is checked once: samples by the transform, magnitudes by the
+        tracker. The estimates are selected from, or averaged over, checked
+        magnitudes, and ThresholdConfig checked the coefficients, so the decision
+        runs unchecked on the one floor computed here."""
         first = self._frames_processed
         mags = self._magnitudes(samples)
 
         estimates = self._tracker.update_all(mags)
-        margins = mags - self._coefficients * estimates
-        decisions = decide_bin(mags, estimates, self._coefficients)
-        events = decide_event(decisions)
+        floor = self._coefficients * estimates
+        margins = mags - floor
+        decisions = bins_over(mags, floor)
+        events = frames_fired(decisions)
         events[: max(self.config.warmup_frames - first, 0)] = 0
 
         records = [None] * len(samples)

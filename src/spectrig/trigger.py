@@ -60,6 +60,17 @@ class TriggerEvent:
     strength: float
 
 
+def bins_over(magnitude, floor):
+    """The per-bin rule, unchecked, on a floor already computed as coefficient * estimate:
+    int8 1 where the magnitude strictly exceeds it."""
+    return (magnitude > floor).view(np.int8)
+
+
+def frames_fired(decisions):
+    """The system rule, unchecked: int64 1 where any per-bin decision of a row fired."""
+    return decisions.any(axis=-1).astype(np.int64)
+
+
 def decide_bin(magnitude, estimate, coefficient):
     """Per-bin decision: 1 iff magnitude strictly exceeds coefficient * estimate.
 
@@ -67,7 +78,7 @@ def decide_bin(magnitude, estimate, coefficient):
     m, e, c = (np.asarray(v, dtype=np.float64) for v in (magnitude, estimate, coefficient))
     if not (np.isfinite(m).all() and np.isfinite(e).all() and np.isfinite(c).all()):
         raise ValueError("decision inputs must be finite")
-    fired = (m > c * e).view(np.int8)
+    fired = bins_over(m, c * e)
     return int(fired) if fired.ndim == 0 else fired
 
 
@@ -76,7 +87,7 @@ def decide_event(decisions):
     decisions = np.asarray(decisions)
     if decisions.ndim == 0 or decisions.shape[-1] == 0:
         raise ValueError("decision vector must not be empty")
-    fired = decisions.any(axis=-1).astype(np.int64)
+    fired = frames_fired(decisions)
     return int(fired) if fired.ndim == 0 else fired
 
 

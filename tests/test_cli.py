@@ -214,6 +214,25 @@ class TestErrors:
         ]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_eval_series_without_scenario_is_rejected(self, replica_dir, tmp_path, capsys, monkeypatch):
+        """Without phase bounds the series would be parsed and then dropped; nothing is read."""
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(io, "read_series", unread)
+        monkeypatch.setattr(io, "read_events", unread)
+        out = tmp_path / "out"
+        assert main([
+            "eval",
+            "--events", str(replica_dir / "events.csv"),
+            "--truth", str(replica_dir / "truth.csv"),
+            "--series", str(replica_dir / "series.csv"),
+            "--total-frames", "6784",
+            "--out-dir", str(out),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: --series needs --scenario")
+        assert not out.exists()
+
     def test_bin_above_payload_limit_rejected_before_any_frame(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -1,10 +1,15 @@
 """Median buffer and cascade behavior against full-sort reference implementations."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from spectrig import noisefloor
 from spectrig.noisefloor import EmaTracker, MedianBuffer, NoiseFloorState
 
 from oracles import cascade_reference, ema_reference, sorted_median
@@ -242,6 +247,82 @@ class TestMultiBinCascade:
         bad[2, 1] = np.nan
         with pytest.raises(ValueError):
             state.update_all(bad)
+
+
+# Non-negative magnitudes with many ties and zeros.
+tied_magnitudes = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, 2.5, 1e6]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+)
+
+
+class TestBlockCascade:
+    """The block cascade against the per-frame recompute oracle, however the stream is cut."""
+
+    @given(
+        fast=st.integers(min_value=1, max_value=70),
+        slow=st.integers(min_value=1, max_value=70),
+        # A small cap cuts even short blocks into several selection groups.
+        select_values=st.sampled_from([1, 150, noisefloor.SELECT_VALUES]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    # One block longer than the slack, so the history grows; blocks that straddle a compaction.
+    @example(fast=2, slow=5, select_values=noisefloor.SELECT_VALUES, data=None)
+    def test_any_chunking_matches_oracle_for_every_bin(self, fast, slow, select_values, data):
+        if data is None:
+            stream = np.resize([3.0, 0.0, 0.0, 7.5, 1.0, 7.5, 2.0], (60, 3)) * [1.0, 0.0, 2.0]
+            cuts = [2, 5, 23, 26, 33, 33, 47]
+        else:
+            frames = data.draw(st.integers(min_value=1, max_value=240), label="frames")
+            stream = data.draw(arrays(np.float64, (frames, 3), elements=tied_magnitudes), label="stream")
+            cuts = sorted(data.draw(st.lists(st.integers(0, frames), max_size=6), label="cuts"))
+        state = NoiseFloorState([4, 9, 17], fast_window=fast, slow_window=slow)
+        with mock.patch.object(noisefloor, "SELECT_VALUES", select_values):
+            estimates = np.concatenate([state.update_all(c) for c in np.split(stream, cuts)])
+        for column in range(3):
+            expected = cascade_reference(stream[:, column].tolist(), fast, slow)
+            assert estimates[:, column].tolist() == expected, column
+        assert state.estimates.tolist() == estimates[-1].tolist()
+
+    @pytest.mark.parametrize("slow", [64, 1024])
+    def test_heap_peak_grows_with_block_only_by_outputs(self, slow):
+        """A block's heap peak is its two stages' (T, M) outputs plus one selection group:
+        a selection over a whole (M, T, window) block would grow by window times the output."""
+        bins = 200
+        peaks = {}
+        for frames in (16, 256):
+            rng = np.random.default_rng(frames)
+            state = NoiseFloorState(range(bins), fast_window=3, slow_window=slow)
+            state.update_all(rng.uniform(0.0, 10.0, (frames, bins)))  # the history takes its size
+            block = rng.uniform(0.0, 10.0, (frames, bins))
+            tracemalloc.start()
+            try:
+                state.update_all(block)
+                peaks[frames] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            output = frames * bins * 8
+            group = max(noisefloor.SELECT_VALUES, bins * slow) * 8
+            assert peaks[frames] <= 2 * output + group + 64 * 1024, frames
+        assert peaks[256] - peaks[16] <= 2 * (256 - 16) * bins * 8 + 16 * 1024
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejected_block_changes_no_state(self, bad):
+        streams = multi_bin_streams(frames=40)
+        state = NoiseFloorState([1, 2, 3, 4, 5], fast_window=3, slow_window=8)
+        state.update_all(streams[:20])
+        before = (state.estimates, state.stage1.medians(), state.stage2.medians())
+        block = streams[20:].copy()
+        block[7, 3] = bad
+        with pytest.raises(ValueError):
+            state.update_all(block)
+        after = (state.estimates, state.stage1.medians(), state.stage2.medians())
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new)
+        clean = NoiseFloorState([1, 2, 3, 4, 5], fast_window=3, slow_window=8)
+        clean.update_all(streams[:20])
+        assert np.array_equal(state.update_all(streams[20:]), clean.update_all(streams[20:]))
 
 
 class TestEmaTracker:
