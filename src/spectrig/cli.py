@@ -35,13 +35,11 @@ BITS_PER_FEATURE = 16
 
 
 def replica_pipeline_config(scenario: ScenarioConfig, tracker: str = "median") -> PipelineConfig:
-    """Detector settings used for the one-shot replica run."""
+    """Detector settings used for the one-shot replica run: the default median windows."""
     return PipelineConfig(
         frame_size=scenario.frame_size,
         sample_rate_hz=scenario.sample_rate_hz,
         bins=scenario.bins,
-        fast_window=3,
-        slow_window=64,
         tracker=tracker,
         warmup_frames=scenario.warmup_frames,
     )
@@ -239,13 +237,13 @@ def _generate_into(out_dir, scenario: ScenarioConfig, consume=_drain):
 
     Each chunk goes to ``consume`` (an iterator of chunks in, any result out)
     once it is appended to frames.bin. Returns (truth, consume's result). The
-    header is checked before out_dir is made, and if the stream fails the
-    out_dir made here is removed.
+    header is checked and the events are placed before out_dir is made, and if
+    the stream fails the out_dir made here is removed.
     """
     io.pack_header(scenario.frame_size, scenario.sample_rate_hz, scenario.total_frames)
+    stream = SyntheticStream(scenario)
     made = not Path(out_dir).exists()
     out_dir = io.ensure_dir(out_dir)
-    stream = SyntheticStream(scenario)
     try:
         with io.FrameWriter(
             out_dir / "frames.bin", scenario.frame_size, scenario.sample_rate_hz, scenario.total_frames

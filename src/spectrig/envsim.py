@@ -155,6 +155,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         check_frame_format(self.frame_size, self.sample_rate_hz)
         self.bins.validate_for(self.frame_size)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.phases:
             raise ValueError("at least one phase is required")
         if self.warmup_frames < 0:

@@ -16,8 +16,10 @@ import json
 import os
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
+from sys import float_info
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .envsim import (
     ScenarioConfig,
 )
 from .pipeline import PipelineConfig
-from .spectral import BinSet, check_frame_format, chunk_rows
+from .spectral import BinSet, as_int, check_frame_format, chunk_rows
 from .trigger import ThresholdConfig
 
 FRAMES_MAGIC = b"STFR"
@@ -188,28 +190,6 @@ def _check_finite(samples: np.ndarray, first: int) -> None:
         raise ValueError(f"frame {first + bad[0]}: samples must all be finite")
 
 
-def write_truth(path, truth: GroundTruth) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["start_frame", "end_frame", "bin"])
-        for interval in truth:
-            writer.writerow([interval.start_frame, interval.end_frame, interval.bin])
-
-
-def read_truth(path) -> GroundTruth:
-    intervals = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            intervals.append(
-                EventInterval(
-                    start_frame=int(row["start_frame"]),
-                    end_frame=int(row["end_frame"]),
-                    bin=int(row["bin"]),
-                )
-            )
-    return GroundTruth(intervals=tuple(intervals))
-
-
 @dataclass(frozen=True)
 class EventRow:
     """One detector firing as logged to events.csv."""
@@ -221,36 +201,56 @@ class EventRow:
     payload: int
 
 
-def write_events(path, rows) -> None:
+def _same(value):
+    return value
+
+
+# The columns of truth.csv and events.csv: (header name = field, decode, encode).
+_TRUTH_COLUMNS = (("start_frame", int, _same), ("end_frame", int, _same), ("bin", int, _same))
+_EVENT_COLUMNS = (
+    ("frame", int, _same), ("frame_delta", int, _same), ("bin", int, _same),
+    ("strength", float, lambda strength: repr(float(strength))),
+    ("payload", partial(int, base=16), lambda payload: f"0x{payload:016x}"),
+)
+
+
+def _write_rows(path, columns, records) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["frame", "frame_delta", "bin", "strength", "payload"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.frame,
-                    row.frame_delta,
-                    row.bin,
-                    repr(float(row.strength)),
-                    f"0x{row.payload:016x}",
-                ]
-            )
+        writer.writerow([name for name, _, _ in columns])
+        writer.writerows([encode(getattr(r, name)) for name, _, encode in columns] for r in records)
+
+
+def _read_rows(path, columns, cls) -> list:
+    """A cls per row of a CSV that _write_rows wrote. A row with missing or extra fields, or
+    with a field its column rejects, is a ValueError naming the file and the line."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for record in reader:
+            try:
+                if None in record or None in record.values():
+                    raise ValueError(f"expected the header's {len(reader.fieldnames)} fields")
+                rows.append(cls(**{name: decode(record[name]) for name, decode, _ in columns}))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
+    return rows
+
+
+def write_truth(path, truth: GroundTruth) -> None:
+    _write_rows(path, _TRUTH_COLUMNS, truth)
+
+
+def read_truth(path) -> GroundTruth:
+    return GroundTruth(intervals=tuple(_read_rows(path, _TRUTH_COLUMNS, EventInterval)))
+
+
+def write_events(path, rows) -> None:
+    _write_rows(path, _EVENT_COLUMNS, rows)
 
 
 def read_events(path) -> list[EventRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        for record in csv.DictReader(fh):
-            rows.append(
-                EventRow(
-                    frame=int(record["frame"]),
-                    frame_delta=int(record["frame_delta"]),
-                    bin=int(record["bin"]),
-                    strength=float(record["strength"]),
-                    payload=int(record["payload"], 16),
-                )
-            )
-    return rows
+    return _read_rows(path, _EVENT_COLUMNS, EventRow)
 
 
 _SERIES_ROWS = 4096  # rows formatted at a time, to bound the Python objects alive at once
@@ -287,111 +287,102 @@ def read_series(path) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
-def scenario_to_dict(scenario: ScenarioConfig) -> dict:
-    phases = []
-    for phase in scenario.phases:
-        entry: dict = {"name": phase.name, "frames": phase.frame_count, "events": phase.event_count}
-        if phase.ramp is not None:
-            entry["ramp"] = {"start": phase.ramp.start, "end": phase.ramp.end}
-        else:
-            entry["level"] = phase.broadband_level
-        phases.append(entry)
-    return {
-        "seed": scenario.seed,
-        "frame_size": scenario.frame_size,
-        "sample_rate_hz": scenario.sample_rate_hz,
-        "bins": list(scenario.bins.bins),
-        "warmup_frames": scenario.warmup_frames,
-        "magnitude_jitter": scenario.magnitude_jitter,
-        "phases": phases,
-        "events": {
-            "target_bins": list(scenario.events.target_bins),
-            "amplitude_ratio": scenario.events.amplitude_ratio,
-            "duration_frames": scenario.events.duration_frames,
-            "min_gap_frames": scenario.events.min_gap_frames,
-        },
-    }
+# Each config's JSON form is one table of (JSON key, field, decode, encode) rows. An absent
+# key is not passed, so its field takes the dataclass default; a None field writes no key.
 
 
-def scenario_from_dict(data: dict) -> ScenarioConfig:
-    try:
-        phases = tuple(
-            PhaseSpec(
-                name=p["name"],
-                frame_count=int(p["frames"]),
-                broadband_level=float(p.get("level", 0.0)),
-                ramp=Ramp(float(p["ramp"]["start"]), float(p["ramp"]["end"]))
-                if "ramp" in p
-                else None,
-                event_count=int(p.get("events", 0)),
-            )
-            for p in data["phases"]
-        )
-        events = data["events"]
-        return ScenarioConfig(
-            seed=int(data["seed"]),
-            frame_size=int(data["frame_size"]),
-            sample_rate_hz=float(data["sample_rate_hz"]),
-            bins=BinSet(tuple(data["bins"])),
-            phases=phases,
-            events=EventSpec(
-                target_bins=tuple(events["target_bins"]),
-                amplitude_ratio=float(events["amplitude_ratio"]),
-                duration_frames=int(events.get("duration_frames", 1)),
-                min_gap_frames=int(events.get("min_gap_frames", 1)),
-            ),
-            warmup_frames=int(data.get("warmup_frames", 67)),
-            magnitude_jitter=float(data.get("magnitude_jitter", 0.1)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"scenario config missing field or wrong type: {exc}") from exc
+def _real(value) -> float:
+    """A finite JSON number as a float; anything else is a ValueError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= float_info.max:
+        return float(value)
+    raise ValueError(f"expected a finite number, got {value!r:.40}")
 
 
-def pipeline_config_to_dict(config: PipelineConfig) -> dict:
-    data = {
-        "frame_size": config.frame_size,
-        "sample_rate_hz": config.sample_rate_hz,
-        "bins": list(config.bins.bins),
-        "fast_window": config.fast_window,
-        "slow_window": config.slow_window,
-        "threshold_coefficients": list(config.thresholds.coefficients),
-        "tracker": config.tracker,
-        "ema_alpha": config.ema_alpha,
-        "warmup_frames": config.warmup_frames,
-    }
-    if config.window is not None:  # a rectangular window writes no key
-        data["window"] = config.window.tolist()
-    return data
+def _items(value, decode=_same) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {value!r:.40}")
+    return tuple(map(decode, value))
+
+
+def _encode(table, obj) -> dict:
+    return {key: encode(v) for key, name, _, encode in table if (v := getattr(obj, name)) is not None}
+
+
+def _decode(cls, table, data):
+    """A cls from the JSON object ``data``; any error is a ValueError naming the JSON key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__}: expected a JSON object, got {data!r:.40}")
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    kwargs = {}
+    for key, name, decode, _ in table:
+        if key in data:
+            try:
+                kwargs[name] = decode(data[key])
+            except ValueError as exc:
+                raise ValueError(f"{cls.__name__} field {key!r}: {exc}") from exc
+        elif name in required:
+            raise ValueError(f"{cls.__name__} missing field {key!r}")
+    return cls(**kwargs)
+
+
+_INT, _REAL = (as_int, _same), (_real, _same)
+_BINS = (lambda data: BinSet(_items(data)), lambda bins: list(bins.bins))
+_RAMP = (("start", "start", *_REAL), ("end", "end", *_REAL))
+_PHASE = (
+    ("name", "name", _same, _same),
+    ("frames", "frame_count", *_INT),
+    ("level", "broadband_level", *_REAL),
+    ("ramp", "ramp", partial(_decode, Ramp, _RAMP), partial(_encode, _RAMP)),
+    ("events", "event_count", *_INT),
+)
+_RAMPED_PHASE = tuple(row for row in _PHASE if row[0] != "level")  # a ramp leaves the level unused
+_EVENTS = (
+    ("target_bins", "target_bins", _items, list),
+    ("amplitude_ratio", "amplitude_ratio", *_REAL),
+    ("duration_frames", "duration_frames", *_INT),
+    ("min_gap_frames", "min_gap_frames", *_INT),
+)
+_SCENARIO = (
+    ("seed", "seed", *_INT),
+    ("frame_size", "frame_size", *_INT),
+    ("sample_rate_hz", "sample_rate_hz", *_REAL),
+    ("bins", "bins", *_BINS),
+    ("warmup_frames", "warmup_frames", *_INT),
+    ("magnitude_jitter", "magnitude_jitter", *_REAL),
+    ("phases", "phases", lambda data: _items(data, partial(_decode, PhaseSpec, _PHASE)),
+     lambda phases: [_encode(_RAMPED_PHASE if p.ramp else _PHASE, p) for p in phases]),
+    ("events", "events", partial(_decode, EventSpec, _EVENTS), partial(_encode, _EVENTS)),
+)
+_PIPELINE = (
+    ("frame_size", "frame_size", *_INT),
+    ("sample_rate_hz", "sample_rate_hz", *_REAL),
+    ("bins", "bins", *_BINS),
+    ("fast_window", "fast_window", *_INT),
+    ("slow_window", "slow_window", *_INT),
+    ("threshold_coefficients", "thresholds", lambda data: ThresholdConfig(_items(data, _real)),
+     lambda thresholds: list(thresholds.coefficients)),
+    ("tracker", "tracker", _same, _same),
+    ("ema_alpha", "ema_alpha", *_REAL),
+    ("warmup_frames", "warmup_frames", *_INT),
+    ("window", "window", lambda data: _items(data, _real), lambda window: window.tolist()),
+)
+
+
+scenario_to_dict = partial(_encode, _SCENARIO)
+scenario_from_dict = partial(_decode, ScenarioConfig, _SCENARIO)
+pipeline_config_to_dict = partial(_encode, _PIPELINE)
 
 
 def pipeline_config_from_dict(data: dict) -> PipelineConfig:
-    try:
-        bins = BinSet(tuple(data["bins"]))
-        if "threshold_coefficients" in data:
-            thresholds = ThresholdConfig(tuple(data["threshold_coefficients"]))
-        elif "threshold" in data:
-            thresholds = ThresholdConfig.uniform(float(data["threshold"]), len(bins))
-        else:
-            thresholds = None
-        return PipelineConfig(
-            frame_size=int(data["frame_size"]),
-            sample_rate_hz=float(data["sample_rate_hz"]),
-            bins=bins,
-            fast_window=int(data.get("fast_window", 3)),
-            slow_window=int(data.get("slow_window", 64)),
-            thresholds=thresholds,
-            tracker=data.get("tracker", "median"),
-            ema_alpha=float(data.get("ema_alpha", 0.95)),
-            warmup_frames=int(data["warmup_frames"]) if "warmup_frames" in data else None,
-            window=data.get("window"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"pipeline config missing field or wrong type: {exc}") from exc
+    config = _decode(PipelineConfig, _PIPELINE, data)
+    if "threshold" in data and "threshold_coefficients" not in data:  # the legacy scalar key
+        thresholds = ThresholdConfig.uniform(_real(data["threshold"]), len(config.bins))
+        config = replace(config, thresholds=thresholds)
+    return config
 
 
 def load_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    return json.loads(Path(path).read_text())
 
 
 def dump_json(path, payload: dict) -> None:

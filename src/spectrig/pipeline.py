@@ -66,8 +66,8 @@ class PipelineConfig:
             raise ValueError("warmup_frames must be >= 0")
         if self.window is not None:
             window = np.asarray(self.window, dtype=np.float64)
-            if window.shape != (self.frame_size,):
-                raise ValueError("window length must equal frame_size")
+            if window.shape != (self.frame_size,) or not np.isfinite(window).all():
+                raise ValueError("window must hold frame_size finite values")
             self.window = window
 
 

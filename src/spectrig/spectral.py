@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -31,11 +32,18 @@ def chunk_rows(frame_size: int) -> int:
     return max(1, CHUNK_SAMPLES // frame_size)
 
 
+def as_int(value, what: str = "an integer") -> int:
+    """``value`` as an int, if it is an integer of any size or an integral float; any other
+    value, a bool included, is a ValueError. Config fields and bin indices follow this rule."""
+    integral = isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
+    if integral and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected {what}, got {value!r:.40}")
+
+
 def bin_indices(values) -> tuple[int, ...]:
     """Bin indices as ints; a fractional or non-finite value is rejected, not truncated."""
-    if not all(float(v).is_integer() for v in values):
-        raise ValueError(f"bin indices must be integers, got {tuple(values)}")
-    return tuple(int(v) for v in values)
+    return tuple(as_int(v, "integers for bin indices") for v in values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -313,6 +313,82 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, raw",
+        [("seed", "1.5"), ("frame_size", "1e999"), ("bins", "[3, 9, " + "1" * 400 + "]")],
+        ids=["fractional-seed", "overflowing-frame-size", "400-digit-bin"],
+    )
+    def test_integer_fields_are_parsed_strictly(self, replica_dir, tmp_path, capsys, field, raw):
+        """An integer field takes an integral JSON number of any size; anything else is an
+        error line, not a truncated value or a traceback."""
+        text = json.dumps({**read_json(replica_dir / "scenario.json"), field: "RAW"})
+        (tmp_path / "scenario.json").write_text(text.replace('"RAW"', raw))
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(tmp_path / "scenario.json"), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_non_finite_window_is_a_config_error(self, replica_dir, tmp_path, capsys):
+        document = {**read_json(replica_dir / "pipeline.json"), "window": [1.0] * 127 + [float("nan")]}
+        io.dump_json(tmp_path / "pipeline.json", document)
+        out = tmp_path / "out"
+        assert main([
+            "detect",
+            "--frames", str(replica_dir / "frames.bin"),
+            "--config", str(tmp_path / "pipeline.json"),
+            "--out-dir", str(out),
+        ]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error:") and "window" in stderr and "frame 0" not in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case", ["replica-seed", "generate-seed-flag", "generate-seed-field", "unplaceable-events"]
+    )
+    def test_scenario_the_generator_rejects_makes_no_out_dir(self, replica_dir, tmp_path, capsys, case):
+        document = read_json(replica_dir / "scenario.json")
+        config = tmp_path / "scenario.json"
+        args = ["generate", "--config", str(config)]
+        if case == "replica-seed":
+            args = ["replica", "--seed", "-1"]
+        elif case == "generate-seed-flag":
+            args += ["--seed", "-1"]
+        elif case == "generate-seed-field":
+            document["seed"] = -1
+        else:
+            document["phases"][0]["events"] = 5000
+        io.dump_json(config, document)
+        out = tmp_path / "out"
+        assert main(args + ["--out-dir", str(out)]) == 2
+        expected = "cannot place 5000 events" if case == "unplaceable-events" else "seed must be >= 0"
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error:") and expected in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, keep, extra",
+        [("events.csv", 3, ""), ("truth.csv", 2, ""), ("events.csv", 5, ",9"), ("truth.csv", 3, ",9")],
+        ids=["short-event", "short-truth", "long-event", "long-truth"],
+    )
+    def test_csv_row_with_missing_or_extra_fields(self, replica_dir, tmp_path, capsys, name, keep, extra):
+        """A row with another field count than its header names the file and the line."""
+        for log in ("events.csv", "truth.csv"):
+            (tmp_path / log).write_bytes((replica_dir / log).read_bytes())
+        lines = (tmp_path / name).read_text().splitlines()
+        lines[-1] = ",".join(lines[-1].split(",")[:keep]) + extra
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main([
+            "eval",
+            "--events", str(tmp_path / "events.csv"),
+            "--truth", str(tmp_path / "truth.csv"),
+            "--scenario", str(replica_dir / "scenario.json"),
+            "--out-dir", str(out),
+        ]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error:") and name in stderr and f"line {len(lines)}:" in stderr
+        assert not out.exists()
+
     def test_replica_generation_failure_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
         """Generation failing on a later chunk's rows: an error line, exit 2 and no out-dir."""
         step = SyntheticStream._synthesize_range

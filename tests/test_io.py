@@ -1,11 +1,17 @@
 """Round-trips for every on-disk format the tool emits."""
 
+import copy
+import json
+import math
 import struct
 import tracemalloc
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectrig import io, spectral
 from spectrig.envsim import (
@@ -349,3 +355,134 @@ class TestConfigs:
         io.dump_json(path, {"seed": 1})
         with pytest.raises(ValueError, match="missing field"):
             io.load_scenario(path)
+
+
+_LEVELS = st.floats(0.0, 1e6)
+
+
+@st.composite
+def scenarios(draw) -> ScenarioConfig:
+    """Valid scenarios: flat and ramped phases, any field away from its default."""
+    frame_size = draw(st.sampled_from([8, 64, 1024]))
+    bins = sorted(draw(st.sets(st.integers(1, frame_size // 2 - 1), min_size=1, max_size=4)))
+    phase = st.one_of(
+        st.builds(PhaseSpec, st.text(max_size=6), st.integers(1, 10**6), _LEVELS,
+                  event_count=st.integers(0, 50)),
+        st.builds(PhaseSpec, st.text(max_size=6), st.integers(1, 10**6),
+                  ramp=st.builds(Ramp, _LEVELS, _LEVELS), event_count=st.integers(0, 50)),
+    )
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 10**30)),
+        frame_size=frame_size,
+        sample_rate_hz=draw(st.floats(1e-3, 1e9)),
+        bins=BinSet(tuple(bins)),
+        phases=tuple(draw(st.lists(phase, min_size=1, max_size=3))),
+        events=EventSpec(
+            target_bins=tuple(draw(st.lists(st.sampled_from(bins), min_size=1, max_size=3))),
+            amplitude_ratio=draw(st.floats(1.0, 1e3, exclude_min=True)),
+            duration_frames=draw(st.integers(1, 100)),
+            min_gap_frames=draw(st.integers(0, 100)),
+        ),
+        warmup_frames=draw(st.integers(0, 10**5)),
+        magnitude_jitter=draw(st.floats(0.0, 1.0, exclude_max=True)),
+    )
+
+
+@st.composite
+def pipeline_configs(draw) -> PipelineConfig:
+    """Valid pipeline configs, with and without a window and a warm-up."""
+    frame_size = draw(st.sampled_from([8, 64, 1024]))
+    bins = sorted(draw(st.sets(st.integers(0, min(frame_size // 2, 255)), min_size=1, max_size=4)))
+    window = st.lists(st.floats(-1e6, 1e6), min_size=frame_size, max_size=frame_size).map(np.array)
+    return PipelineConfig(
+        frame_size=frame_size,
+        sample_rate_hz=draw(st.floats(1e-3, 1e9)),
+        bins=BinSet(tuple(bins)),
+        fast_window=draw(st.integers(1, 500)),
+        slow_window=draw(st.integers(1, 500)),
+        thresholds=ThresholdConfig(
+            tuple(draw(st.lists(st.floats(1.0, 2.0), min_size=len(bins), max_size=len(bins))))
+        ),
+        tracker=draw(st.sampled_from(["median", "ema"])),
+        ema_alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        warmup_frames=draw(st.none() | st.integers(0, 10**5)),
+        window=draw(st.none() | window),
+    )
+
+
+class TestConfigProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(scenario=scenarios())
+    def test_scenario_survives_save_then_load(self, tmp_path_factory, scenario):
+        path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+        io.save_scenario(path, scenario)
+        assert io.load_scenario(path) == scenario
+
+    @settings(max_examples=80, deadline=None)
+    @given(config=pipeline_configs())
+    def test_pipeline_config_survives_save_then_load(self, tmp_path_factory, config):
+        path = tmp_path_factory.mktemp("pipeline") / "pipeline.json"
+        io.save_pipeline_config(path, config)
+        loaded = io.load_pipeline_config(path)
+        for field in fields(PipelineConfig):
+            ours, theirs = getattr(loaded, field.name), getattr(config, field.name)
+            if field.name == "window" and theirs is not None:
+                assert np.array_equal(ours, theirs)
+            else:
+                assert ours == theirs, field.name
+
+
+def _paths(document, prefix=()):
+    """The path of every value inside a JSON document: object keys and list indices."""
+    items = document.items() if isinstance(document, dict) else enumerate(document)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)) and value:
+            yield from _paths(value, prefix + (key,))
+
+
+_DOCUMENTS = {
+    "scenario": (io.scenario_from_dict, io.scenario_to_dict(replica_scenario(42))),
+    "pipeline": (
+        io.pipeline_config_from_dict,
+        io.pipeline_config_to_dict(
+            PipelineConfig(frame_size=8, sample_rate_hz=500.0, bins=BinSet((1, 3)), window=np.hanning(8))
+        ),
+    ),
+    "legacy-threshold": (
+        io.pipeline_config_from_dict,
+        {"frame_size": 8, "sample_rate_hz": 500.0, "bins": [1, 3], "threshold": 1.25},
+    ),
+}
+_DELETE = object()
+_JSON_VALUES = st.one_of(
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), math.inf, -math.inf, math.nan, True, False, None, _DELETE]),
+    st.floats(),
+    st.text(max_size=8),
+    st.lists(st.integers() | st.floats() | st.text(max_size=3), max_size=4),
+    st.dictionaries(st.text(max_size=8), st.integers() | st.floats(), max_size=3),
+)
+
+
+@pytest.mark.filterwarnings("ignore:threshold coefficient above 2")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(_DOCUMENTS)))
+def test_any_replaced_json_value_loads_or_is_a_value_error(data, kind):
+    """One value of a valid config, at any depth, replaced by any JSON value or deleted:
+    loading gives a config or a ValueError, never another exception."""
+    decode, document = _DOCUMENTS[kind]
+    document = copy.deepcopy(document)
+    path = data.draw(st.sampled_from(sorted(_paths(document), key=repr)))
+    value = data.draw(_JSON_VALUES)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        decode(json.loads(json.dumps(document)))
+    except ValueError:
+        pass

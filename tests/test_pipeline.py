@@ -1,5 +1,6 @@
 """Whole-pipeline behavior: event emission, warm-up, equivalence, accounting."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -427,6 +428,13 @@ class TestConfigValidation:
         PipelineConfig(frame_size=512, sample_rate_hz=1.0, bins=BinSet((37, 255)))
         with pytest.raises(ValueError, match="255"):
             PipelineConfig(frame_size=1024, sample_rate_hz=1.0, bins=BinSet((37, 300)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_window_names_the_window(self, bad):
+        window = np.hanning(16)
+        window[5] = bad
+        with pytest.raises(ValueError, match="window"):
+            PipelineConfig(frame_size=16, sample_rate_hz=1.0, bins=BinSet((3,)), window=window)
 
     def test_default_warmup_is_window_sum(self):
         config = config_for([3], fast=4, slow=10)
