@@ -8,7 +8,8 @@ derived rates, per-phase breakdown, and traffic tallies.
 import numpy as np
 
 from spectrig import generate, replica_scenario, run_stream
-from spectrig.cli import build_metrics, replica_pipeline_config
+from spectrig.cli import replica_pipeline_config
+from spectrig.evaluation import build_metrics
 
 scenario = replica_scenario(seed=42)
 print(f"scenario: {scenario.total_frames} frames, seed {scenario.seed}")

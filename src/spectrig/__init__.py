@@ -7,7 +7,7 @@ Library layout:
   pipeline    block-wise detector, latency and memory accounting
   envsim      deterministic three-phase scenario generator + ground truth
   baselines   fixed-threshold and decimated comparison detectors
-  evaluation  confusion scoring, traffic and payload metrics
+  evaluation  confusion scoring, traffic and payload metrics, the metrics document
   io          file formats (frame container, CSV logs, JSON configs)
   cli         generate / detect / eval / replica subcommands
 """

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
+import json
 import sys
 import time
 from pathlib import Path
@@ -20,18 +20,9 @@ from .baselines import (
     frame_rms,
 )
 from .envsim import GENERATOR_ID, ScenarioConfig, SyntheticStream, replica_scenario
-from .evaluation import (
-    derive_metrics,
-    per_phase_scores,
-    payload_comparison,
-    score,
-    threshold_adaptation,
-    traffic_stats,
-)
+from .evaluation import build_metrics, payload_comparison
 from .pipeline import Pipeline, PipelineConfig
-from .trigger import PAYLOAD_BITS, TriggerEvent, encode_event
-
-BITS_PER_FEATURE = 16
+from .trigger import TriggerEvent, encode_event
 
 
 def replica_pipeline_config(scenario: ScenarioConfig, tracker: str = "median") -> PipelineConfig:
@@ -43,12 +34,6 @@ def replica_pipeline_config(scenario: ScenarioConfig, tracker: str = "median") -
         tracker=tracker,
         warmup_frames=scenario.warmup_frames,
     )
-
-
-def _finite_or_none(value):
-    if value is None:
-        return None
-    return value if math.isfinite(value) else None
 
 
 _SERIES_COLUMNS = ("rms", "feature", "threshold", "margin", "event")
@@ -118,69 +103,10 @@ def _run_decimated(chunks, decimation: DecimationConfig):
     return _rows_from_flags(fired, [0] * len(fired), [0.0] * len(fired))
 
 
-def build_metrics(
-    event_frames,
-    truth,
-    total_frames: int,
-    warmup_frames: int,
-    phase_bounds=None,
-    threshold_series=None,
-    monitored_bins: int | None = None,
-) -> dict:
-    """Assemble the full metrics document (JSON-ready)."""
-    cm = score(event_frames, truth, total_frames, warmup_frames)
-    derived = derive_metrics(cm)
-    transmitted = len({int(f) for f in event_frames if int(f) >= warmup_frames})
-    document = {
-        "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn, "total": cm.total},
-        "derived": dataclasses.asdict(derived),
-        "frames": {"total": total_frames, "warmup_excluded": warmup_frames},
-        "events_transmitted": transmitted,
-    }
-    if monitored_bins is not None:
-        traffic = traffic_stats(
-            total_frames, transmitted, monitored_bins, BITS_PER_FEATURE, PAYLOAD_BITS
-        )
-        document["traffic"] = {
-            "data_reduction": traffic.data_reduction,
-            "feature_stream_bits": traffic.feature_stream_bits,
-            "trigger_stream_bits": traffic.trigger_stream_bits,
-            "reduction_factor": _finite_or_none(traffic.reduction_factor),
-        }
-    if phase_bounds is not None:
-        phase_rows = per_phase_scores(event_frames, truth, phase_bounds, warmup_frames)
-        document["per_phase"] = [
-            {**dataclasses.asdict(p), "missed_events": p.missed_events} for p in phase_rows
-        ]
-        if threshold_series is not None:
-            summary = threshold_adaptation(threshold_series, phase_bounds, warmup_frames)
-            document["threshold"] = {
-                "min": summary.minimum,
-                "max": summary.maximum,
-                "settled_first_phase": summary.settled_first_phase,
-                "settled_last_phase": summary.settled_last_phase,
-                "adaptation_ratio": _finite_or_none(summary.adaptation_ratio),
-            }
-            series = np.asarray(threshold_series, dtype=np.float64)
-            for entry, (_, start, end) in zip(document["per_phase"], phase_bounds):
-                lo = max(start, warmup_frames)
-                window = series[lo:end]
-                entry["threshold_min"] = float(window.min())
-                entry["threshold_max"] = float(window.max())
-    return document
-
-
 _PHASE_COLUMNS = (
     "name", "start_frame", "end_frame", "true_events", "detected_events", "missed_events",
     "false_positives",
 )
-
-
-def _write_table(path: Path, keys, rows) -> None:
-    """CSV with a header line of keys, then those keys' values of each row."""
-    with open(path, "w", newline="") as fh:
-        for line in [keys] + [[row[k] for k in keys] for row in rows]:
-            fh.write(",".join(map(str, line)) + "\n")
 
 
 def _score_into(out_dir, event_frames, truth, **layout) -> dict:
@@ -189,9 +115,9 @@ def _score_into(out_dir, event_frames, truth, **layout) -> dict:
     metrics = build_metrics(event_frames, truth, **layout)
     out_dir = io.ensure_dir(out_dir)
     io.dump_json(out_dir / "metrics.json", metrics)
-    _write_table(out_dir / "confusion.csv", ("tp", "fp", "fn", "tn"), [metrics["confusion"]])
+    io.write_table(out_dir / "confusion.csv", ("tp", "fp", "fn", "tn"), [metrics["confusion"]])
     if "per_phase" in metrics:
-        _write_table(out_dir / "per_phase.csv", _PHASE_COLUMNS, metrics["per_phase"])
+        io.write_table(out_dir / "per_phase.csv", _PHASE_COLUMNS, metrics["per_phase"])
     return metrics
 
 
@@ -207,8 +133,6 @@ def _scenario_layout(scenario: ScenarioConfig) -> dict:
 
 def _print_metrics(metrics: dict, fmt: str) -> None:
     if fmt == "json":
-        import json
-
         print(json.dumps(metrics, indent=2, sort_keys=True))
     else:
         cm = metrics["confusion"]
@@ -299,10 +223,8 @@ def cmd_detect(args) -> int:
             rows, series = _run_proposed(frames.blocks(), config)
         elif args.detector == "fixed":
             rows = _run_fixed(frames.blocks(), config, args.calib_frames, frames.frame_count)
-        elif args.detector == "decimated":
+        else:  # decimated, the parser's one other choice
             rows = _run_decimated(frames.blocks(), DecimationConfig(decimation_factor=args.decimation))
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown detector {args.detector}")
     out_dir = _write_detection(args.out_dir, config, rows, series)
     print(f"detector={args.detector} events={len(rows)} -> {out_dir}")
     return 0
@@ -320,7 +242,10 @@ def cmd_eval(args) -> int:
     else:
         layout = {"total_frames": args.total_frames, "warmup_frames": args.warmup_frames}
     if args.series is not None:
-        layout["threshold_series"] = io.read_series(args.series)["threshold"]
+        series = io.read_series(args.series)
+        if "threshold" not in series:
+            raise ValueError(f"{args.series}: no threshold column")
+        layout["threshold_series"] = series["threshold"]
     metrics = _score_into(args.out_dir, [row.frame for row in events], truth, **layout)
     _print_metrics(metrics, args.format)
     return 0
@@ -380,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det = sub.add_parser("detect", help="frames + detector choice -> events")
     p_det.add_argument("--frames", required=True, help="frames.bin container")
     p_det.add_argument("--config", default=None, help="pipeline JSON file")
-    p_det.add_argument(
-        "--detector", choices=("proposed", "fixed", "decimated"), default="proposed"
-    )
+    p_det.add_argument("--detector", choices=("proposed", "fixed", "decimated"), default="proposed")
     p_det.add_argument("--tracker", choices=("median", "ema"), default=None)
     p_det.add_argument(
         "--calib-frames",
@@ -390,9 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=500,
         help="fixed detector: leading frames used for mean+3*sigma calibration",
     )
-    p_det.add_argument(
-        "--decimation", type=int, default=4, help="decimated detector: frame stride"
-    )
+    p_det.add_argument("--decimation", type=int, default=4, help="decimated detector: frame stride")
     p_det.add_argument("--out-dir", required=True)
     p_det.set_defaults(func=cmd_detect)
 
@@ -407,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out-dir", required=True)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_rep = sub.add_parser(
-        "replica", help="one-shot three-phase experiment: generate + detect + eval"
-    )
+    p_rep = sub.add_parser("replica", help="one-shot three-phase experiment: generate + detect + eval")
     p_rep.add_argument("--seed", type=int, default=42)
     p_rep.add_argument("--tracker", choices=("median", "ema"), default="median")
     p_rep.add_argument("--format", choices=("json", "csv"), default="json")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -254,7 +253,7 @@ class SyntheticStream:
         The seeded draws and every chunk-sized array are made here, in the
         calling thread. The rest, spectrum to samples, runs on disjoint row
         ranges, one per usable CPU (see synthesis_ranges): each range but the
-        first on its own thread, the first in the caller, which then waits for
+        first on a pool thread, the first in the caller, which then waits for
         the others. Each range makes the same IEEE operations on its rows as
         the whole chunk would, so the bytes do not depend on the split.
         """
@@ -277,26 +276,14 @@ class SyntheticStream:
             (start + a, phases[a:b], magnitude[a:b], half_spectrum[a:b], out[a:b])
             for a, b in zip(bounds, bounds[1:])
         ]
-        failures: list[BaseException] = []
+        # Not imported with spectrig (2 ms). The pool starts a thread per submit: none for one range
+        from concurrent.futures import ThreadPoolExecutor
 
-        def helper(*range_args) -> None:
-            try:
-                self._synthesize_range(*range_args)
-            except BaseException as exc:  # re-raised in the caller, after the join
-                failures.append(exc)
-
-        threads = []
-        try:
-            for range_args in args[1:]:
-                thread = threading.Thread(target=helper, args=range_args)
-                thread.start()
-                threads.append(thread)
+        with ThreadPoolExecutor(max_workers=len(args) - 1 or 1) as pool:
+            helpers = [pool.submit(self._synthesize_range, *range_args) for range_args in args[1:]]
             self._synthesize_range(*args[0])
-        finally:
-            for thread in threads:
-                thread.join()
-        if failures:
-            raise failures[0]
+        for helper in helpers:
+            helper.result()  # re-raises a helper's error
 
     def _synthesize_range(self, start, phases, magnitude, half_spectrum, out) -> None:
         """Spectrum to samples for the rows from ``start`` on: exp(1j * phase) times the

@@ -10,11 +10,14 @@ confusion matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .envsim import GroundTruth
+from .trigger import PAYLOAD_BITS
+
+BITS_PER_FEATURE = 16  # one streamed feature value, in the traffic comparison
 
 
 @dataclass(frozen=True)
@@ -245,3 +248,60 @@ def threshold_adaptation(
         settled_last_phase=last,
         adaptation_ratio=last / first if first > 0 else math.inf,
     )
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
+def build_metrics(
+    event_frames,
+    truth: GroundTruth,
+    total_frames: int,
+    warmup_frames: int,
+    phase_bounds=None,
+    threshold_series=None,
+    monitored_bins: int | None = None,
+) -> dict:
+    """Assemble the full metrics document (JSON-ready). ``threshold_series``, one
+    threshold per frame, is summarized per phase, so only with ``phase_bounds``."""
+    cm = score(event_frames, truth, total_frames, warmup_frames)
+    transmitted = len({int(f) for f in event_frames if int(f) >= warmup_frames})
+    document = {
+        "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn, "total": cm.total},
+        "derived": asdict(derive_metrics(cm)),
+        "frames": {"total": total_frames, "warmup_excluded": warmup_frames},
+        "events_transmitted": transmitted,
+    }
+    if monitored_bins is not None:
+        traffic = traffic_stats(
+            total_frames, transmitted, monitored_bins, BITS_PER_FEATURE, PAYLOAD_BITS
+        )
+        document["traffic"] = {
+            "data_reduction": traffic.data_reduction,
+            "feature_stream_bits": traffic.feature_stream_bits,
+            "trigger_stream_bits": traffic.trigger_stream_bits,
+            "reduction_factor": _finite_or_none(traffic.reduction_factor),
+        }
+    if phase_bounds is not None:
+        phase_rows = per_phase_scores(event_frames, truth, phase_bounds, warmup_frames)
+        document["per_phase"] = [
+            {**asdict(p), "missed_events": p.missed_events} for p in phase_rows
+        ]
+        if threshold_series is not None:
+            series = np.asarray(threshold_series, dtype=np.float64)
+            if series.shape != (total_frames,):
+                raise ValueError(f"threshold series of shape {series.shape}, expected ({total_frames},)")
+            summary = threshold_adaptation(series, phase_bounds, warmup_frames)
+            document["threshold"] = {
+                "min": summary.minimum,
+                "max": summary.maximum,
+                "settled_first_phase": summary.settled_first_phase,
+                "settled_last_phase": summary.settled_last_phase,
+                "adaptation_ratio": _finite_or_none(summary.adaptation_ratio),
+            }
+            for entry, (_, start, end) in zip(document["per_phase"], phase_bounds):
+                window = series[max(start, warmup_frames) : end]
+                entry["threshold_min"] = float(window.min())
+                entry["threshold_max"] = float(window.max())
+    return document

@@ -253,6 +253,14 @@ def read_events(path) -> list[EventRow]:
     return _read_rows(path, _EVENT_COLUMNS, EventRow)
 
 
+def write_table(path, keys, rows) -> None:
+    """CSV with a header line of keys, then those keys' values of each row (a mapping)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([row[k] for k in keys] for row in rows)
+
+
 _SERIES_ROWS = 4096  # rows formatted at a time, to bound the Python objects alive at once
 
 
@@ -279,10 +287,21 @@ def write_series(path, columns: dict[str, np.ndarray]) -> None:
 
 
 def read_series(path) -> dict[str, np.ndarray]:
+    """A series CSV's columns by header name. An empty file, a row with another field count
+    than the header or a field that is not a number is a ValueError naming the file (and line)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        names = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
+        names = next(reader, None)
+        if names is None:
+            raise ValueError(f"{path}: empty file, expected a header line")
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(names):
+                    raise ValueError(f"expected the header's {len(names)} fields, got {len(row)}")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
     data = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
     return {name: data[:, i] for i, name in enumerate(names)}
 

@@ -9,6 +9,9 @@ import numpy as np
 # groups of frames of at most this many values (2**16 measured fastest).
 SELECT_VALUES = 1 << 16
 
+# The longest window, in frames; its history, 2 float64 per frame and row, is made up front.
+MAX_WINDOW = 1 << 16
+
 
 class MedianWindows:
     """Sliding windows of fixed capacity, one row per series, with order-statistic medians.
@@ -27,21 +30,17 @@ class MedianWindows:
     """
 
     def __init__(self, capacity: int, rows: int = 1):
-        if capacity < 1:
-            raise ValueError("buffer capacity must be >= 1")
+        if not 1 <= capacity <= MAX_WINDOW:
+            raise ValueError(f"buffer capacity must be in 1..{MAX_WINDOW}, got {capacity!r:.40}")
         self.capacity = capacity
         self._history = np.empty((rows, 2 * capacity))  # the window, then slack
         self._history[:, :capacity] = np.where(np.arange(capacity) % 2 == 0, np.inf, -np.inf)
         self._end = capacity  # one past the newest value
 
-    def push(self, values) -> np.ndarray:
-        """Append one value per row, or a (rows, T) block of T values per row in
-        order, evicting each row's oldest; returns the medians after each push,
-        shape (rows,) or (rows, T)."""
-        block = np.asarray(values, dtype=np.float64)
-        single = block.ndim < 2
-        if single:
-            block = np.broadcast_to(block, self._history.shape[:1])[:, None]
+    def push(self, block) -> np.ndarray:
+        """Append a (rows, T) block of T values per row in order, evicting each
+        row's oldest; returns the (rows, T) medians after each push."""
+        block = np.asarray(block, dtype=np.float64)
         count, cap = block.shape[1], self.capacity
         if self._end + count > self._history.shape[1]:
             window = self._history[:, self._end - cap : self._end]
@@ -51,8 +50,7 @@ class MedianWindows:
             self._end = cap
         self._history[:, self._end : self._end + count] = block
         self._end += count
-        medians = self._select(self._end - count + 1 - cap, count)
-        return medians[:, 0] if single else medians
+        return self._select(self._end - count + 1 - cap, count)
 
     def medians(self) -> np.ndarray:
         """Median of every row's current window; nothing is reordered."""
@@ -83,7 +81,7 @@ class MedianBuffer(MedianWindows):
         self.fill_count = 0
 
     def push(self, value: float) -> None:
-        super().push(value)
+        super().push([[value]])
         self.fill_count = min(self.fill_count + 1, self.capacity)
 
     def median(self) -> float:
@@ -143,8 +141,6 @@ class NoiseFloorState(_BinTracker):
     """
 
     def __init__(self, bins, fast_window: int = 3, slow_window: int = 64):
-        if fast_window < 1 or slow_window < 1:
-            raise ValueError("window sizes must be >= 1")
         super().__init__(bins)
         self.fast_window = fast_window
         self.slow_window = slow_window

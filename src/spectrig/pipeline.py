@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noisefloor import EmaTracker, NoiseFloorState
+from .noisefloor import MAX_WINDOW, EmaTracker, NoiseFloorState
 from .spectral import BinSet, FftPlan, Frame, check_frame_format
 from .trigger import (
     MAX_BIN_ID,
@@ -50,8 +50,9 @@ class PipelineConfig:
         self.bins.validate_for(self.frame_size)
         if self.bins.bins[-1] > MAX_BIN_ID:
             raise ValueError(f"bin {self.bins.bins[-1]} above the payload bin limit {MAX_BIN_ID}")
-        if self.fast_window < 1 or self.slow_window < 1:
-            raise ValueError("window sizes must be >= 1")
+        for name, size in (("fast_window", self.fast_window), ("slow_window", self.slow_window)):
+            if not 1 <= size <= MAX_WINDOW:
+                raise ValueError(f"{name} must be in 1..{MAX_WINDOW}, got {size!r:.40}")
         if self.thresholds is None:
             self.thresholds = ThresholdConfig.uniform(1.5, len(self.bins))
         if len(self.thresholds) != len(self.bins):

@@ -3,11 +3,13 @@
 These six files read the same on numpy's FMA loops and on its baseline loops
 (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL"). series.csv, events.csv,
 metrics.json and report.json hold complex-multiply and abs results whose last
-bits differ between the two paths, so they are not pinned here. A digest
-changes only with an intended byte change, named with its cause.
+bits differ between the two paths, so their bytes are not pinned here; the
+metrics document, alone and inside report.json, is pinned without its threshold
+values. A digest changes only with an intended byte change, named with its cause.
 """
 
 import hashlib
+import json
 
 from spectrig.cli import main
 
@@ -28,3 +30,32 @@ def test_replica_seed_42_float_path_independent_bytes(tmp_path):
         for name in REPLICA_SEED_42_SHA256
     }
     assert digests == REPLICA_SEED_42_SHA256
+
+
+# sha256 of json.dumps(document, sort_keys=True), the threshold values taken out.
+REPLICA_SEED_42_DOCUMENT_SHA256 = {
+    "metrics.json": "f8119f3a9ce8680698f33cc75225633092d943259b58bc2bc2b8fff4c5597375",
+    "report.json": "8c611c82ae8fd6096bd282208a22c0ff63a7cc94c8a62cd33d167457ebe163f9",
+}
+
+
+def without_thresholds(metrics: dict) -> dict:
+    """The metrics document less the threshold trace's statistics, which hold floats
+    of the float-path-dependent series."""
+    del metrics["threshold"]
+    for entry in metrics["per_phase"]:
+        del entry["threshold_min"], entry["threshold_max"]
+    return metrics
+
+
+def test_replica_seed_42_float_path_independent_documents(tmp_path):
+    assert main(["replica", "--seed", "42", "--out-dir", str(tmp_path)]) == 0
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    report = json.loads((tmp_path / "report.json").read_text())
+    documents = {"metrics.json": without_thresholds(metrics), "report.json": report}
+    without_thresholds(report["metrics"])
+    digests = {
+        name: hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
+        for name, document in documents.items()
+    }
+    assert digests == REPLICA_SEED_42_DOCUMENT_SHA256

@@ -1,5 +1,6 @@
 """End-to-end command-line flows on temporary directories."""
 
+import csv
 import json
 import struct
 
@@ -151,6 +152,23 @@ class TestRoundTrip:
         metrics = read_json(out / "metrics.json")
         assert metrics["derived"]["sensitivity"] == 1.0
         assert metrics["confusion"]["fp"] == 0
+
+    def test_phase_name_with_a_comma_is_quoted(self, replica_dir, tmp_path):
+        document = read_json(replica_dir / "scenario.json")
+        document["phases"][0]["name"] = "low,noise"
+        io.dump_json(tmp_path / "scenario.json", document)
+        out = tmp_path / "eval"
+        assert main([
+            "eval",
+            "--events", str(replica_dir / "events.csv"),
+            "--truth", str(replica_dir / "truth.csv"),
+            "--scenario", str(tmp_path / "scenario.json"),
+            "--out-dir", str(out),
+        ]) == 0
+        with open(out / "per_phase.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [7] * 4
+        assert [row[0] for row in rows[1:]] == ["low,noise", "transition", "high_noise"]
 
 
 class TestBaselineDetectors:
@@ -423,6 +441,61 @@ class TestErrors:
             "frame", "rms", "feature", "threshold", "margin", "event"
         }
         assert len(io.read_series(default / "series.csv")["frame"]) == 0
+
+    @pytest.mark.parametrize(
+        "field, raw", [("slow_window", "1000000000"), ("fast_window", "1" + "0" * 400)],
+        ids=["billion-frame-window", "401-digit-window"],
+    )
+    def test_window_above_the_bound(self, replica_dir, tmp_path, capsys, field, raw):
+        """A window the history cannot be allocated for is a config error naming the field.
+        Both values are ones numpy refuses without touching memory."""
+        text = json.dumps({**read_json(replica_dir / "pipeline.json"), field: "RAW"})
+        (tmp_path / "pipeline.json").write_text(text.replace('"RAW"', raw))
+        out = tmp_path / "out"
+        assert main([
+            "detect",
+            "--frames", str(replica_dir / "frames.bin"),
+            "--config", str(tmp_path / "pipeline.json"),
+            "--out-dir", str(out),
+        ]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error:") and field in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case", ["empty", "short-row", "non-number", "no-threshold-column", "short-series"]
+    )
+    def test_bad_series_file(self, replica_dir, tmp_path, capsys, case):
+        """eval --series on a malformed series.csv: an error line naming the file, or
+        the series' length, and no out-dir."""
+        lines = (replica_dir / "series.csv").read_text().splitlines()
+        expected = f"line {len(lines)}:"
+        if case == "empty":
+            lines, expected = [], "empty file"
+        elif case == "short-row":
+            lines[-1] = lines[-1].rsplit(",", 1)[0]
+        elif case == "non-number":
+            frame, _, rest = lines[-1].split(",", 2)
+            lines[-1] = f"{frame},abc,{rest}"
+        elif case == "no-threshold-column":
+            lines[0], expected = lines[0].replace("threshold", "limit"), "no threshold column"
+        else:
+            lines, expected = lines[:-100], "threshold series of shape (6684,), expected (6784,)"
+        series = tmp_path / "series.csv"
+        series.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "out"
+        assert main([
+            "eval",
+            "--events", str(replica_dir / "events.csv"),
+            "--truth", str(replica_dir / "truth.csv"),
+            "--scenario", str(replica_dir / "scenario.json"),
+            "--series", str(series),
+            "--out-dir", str(out),
+        ]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error:") and expected in stderr
+        assert case == "short-series" or str(series) in stderr
+        assert not out.exists()
 
     def test_unknown_detector_rejected_by_parser(self, replica_dir, tmp_path):
         with pytest.raises(SystemExit):

@@ -48,6 +48,10 @@ class TestMedianBuffer:
         with pytest.raises(ValueError):
             MedianBuffer(0)
 
+    def test_capacity_above_the_bound(self):
+        with pytest.raises(ValueError, match="65536"):
+            MedianBuffer(noisefloor.MAX_WINDOW + 1)
+
     def test_partial_fill_uses_filled_portion(self):
         buf = MedianBuffer(5)
         buf.push(4.0)
