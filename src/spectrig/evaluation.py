@@ -264,9 +264,14 @@ def build_metrics(
     monitored_bins: int | None = None,
 ) -> dict:
     """Assemble the full metrics document (JSON-ready). ``threshold_series``, one
-    threshold per frame, is summarized per phase, so only with ``phase_bounds``."""
+    threshold per frame, is summarized per phase, so only with ``phase_bounds``. An event
+    frame outside [0, total_frames) is a ValueError naming the first one."""
+    event_frames = [int(f) for f in event_frames]
+    outside = next((f for f in event_frames if not 0 <= f < total_frames), None)
+    if outside is not None:
+        raise ValueError(f"event frame {outside} outside the stream's {total_frames} frames")
     cm = score(event_frames, truth, total_frames, warmup_frames)
-    transmitted = len({int(f) for f in event_frames if int(f) >= warmup_frames})
+    transmitted = len({f for f in event_frames if f >= warmup_frames})
     document = {
         "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn, "total": cm.total},
         "derived": asdict(derive_metrics(cm)),

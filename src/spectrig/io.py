@@ -18,6 +18,7 @@ import struct
 from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from sys import float_info
 
@@ -201,113 +202,98 @@ class EventRow:
     payload: int
 
 
-def _same(value):
-    return value
+def _write_csv(path, header, rows, lineterminator="\r\n") -> None:
+    """A UTF-8 CSV file: the header line, then one line per row of ``rows`` (any iterable)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-# The columns of truth.csv and events.csv: (header name = field, decode, encode).
-_TRUTH_COLUMNS = (("start_frame", int, _same), ("end_frame", int, _same), ("bin", int, _same))
-_EVENT_COLUMNS = (
-    ("frame", int, _same), ("frame_delta", int, _same), ("bin", int, _same),
-    ("strength", float, lambda strength: repr(float(strength))),
-    ("payload", partial(int, base=16), lambda payload: f"0x{payload:016x}"),
-)
-
-
-def _write_rows(path, columns, records) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _, _ in columns])
-        writer.writerows([encode(getattr(r, name)) for name, _, encode in columns] for r in records)
-
-
-def _read_rows(path, columns, cls) -> list:
-    """A cls per row of a CSV that _write_rows wrote. A row with missing or extra fields, or
-    with a field its column rejects, is a ValueError naming the file and the line."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for record in reader:
+def _read_csv(path, decode, header=None) -> tuple[list[str], list]:
+    """A UTF-8 CSV file's header and decode(fields) of each row after it. An empty file, a
+    header other than ``header`` (if given), a row with another field count than the header
+    or a row decode rejects is a ValueError naming the file (and line)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        names = next(reader, None)
+        if names is None:
+            raise ValueError(f"{path}: empty file, expected a header line")
+        if header is not None and names != header:
+            raise ValueError(f"{path}: expected the header {','.join(header)}, got {','.join(names)}")
+        rows = []
+        for row in reader:
             try:
-                if None in record or None in record.values():
-                    raise ValueError(f"expected the header's {len(reader.fieldnames)} fields")
-                rows.append(cls(**{name: decode(record[name]) for name, decode, _ in columns}))
+                if len(row) != len(names):
+                    raise ValueError(f"expected the header's {len(names)} fields, got {len(row)}")
+                rows.append(decode(row))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
-    return rows
+    return names, rows
+
+
+# truth.csv's and events.csv's headers: their row classes' field names, in order.
+_TRUTH_HEADER = [f.name for f in fields(EventInterval)]
+_EVENT_HEADER = [f.name for f in fields(EventRow)]
 
 
 def write_truth(path, truth: GroundTruth) -> None:
-    _write_rows(path, _TRUTH_COLUMNS, truth)
+    _write_csv(path, _TRUTH_HEADER, ((i.start_frame, i.end_frame, i.bin) for i in truth))
 
 
 def read_truth(path) -> GroundTruth:
-    return GroundTruth(intervals=tuple(_read_rows(path, _TRUTH_COLUMNS, EventInterval)))
+    _, rows = _read_csv(path, lambda row: EventInterval(*map(int, row)), _TRUTH_HEADER)
+    return GroundTruth(tuple(rows))
 
 
 def write_events(path, rows) -> None:
-    _write_rows(path, _EVENT_COLUMNS, rows)
+    _write_csv(path, _EVENT_HEADER, (
+        (r.frame, r.frame_delta, r.bin, repr(float(r.strength)), f"0x{r.payload:016x}") for r in rows
+    ))
 
 
 def read_events(path) -> list[EventRow]:
-    return _read_rows(path, _EVENT_COLUMNS, EventRow)
+    return _read_csv(path, lambda r: EventRow(*map(int, r[:3]), float(r[3]), int(r[4], 16)), _EVENT_HEADER)[1]
 
 
 def write_table(path, keys, rows) -> None:
     """CSV with a header line of keys, then those keys' values of each row (a mapping)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(keys)
-        writer.writerows([row[k] for k in keys] for row in rows)
+    _write_csv(path, keys, ([row[k] for k in keys] for row in rows), lineterminator="\n")
 
 
 _SERIES_ROWS = 4096  # rows formatted at a time, to bound the Python objects alive at once
 
 
 def write_series(path, columns: dict[str, np.ndarray]) -> None:
-    """Plot-ready per-frame series; all columns must share one length.
-
-    Integer columns are written as ints, any other as the repr of each value as a float.
-    """
+    """Plot-ready per-frame series of equal-length columns: integer columns as ints, any
+    other as the repr of each value as a float."""
     names = list(columns)
     arrays = [np.asarray(columns[n]) for n in names]
     lengths = {a.shape[0] for a in arrays}
     if len(lengths) != 1:
         raise ValueError(f"series columns differ in length: {sorted(lengths)}")
     integer = [np.issubdtype(a.dtype, np.integer) for a in arrays]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for start in range(0, arrays[0].shape[0], _SERIES_ROWS):
-            rows = [a[start : start + _SERIES_ROWS] for a in arrays]
-            writer.writerows(zip(*(
-                r.tolist() if is_int else map(repr, r.astype(np.float64, copy=False).tolist())
-                for r, is_int in zip(rows, integer)
-            )))
+    slices = ([a[s : s + _SERIES_ROWS] for a in arrays] for s in range(0, len(arrays[0]), _SERIES_ROWS))
+    _write_csv(path, names, chain.from_iterable(zip(*(
+        r.tolist() if is_int else map(repr, r.astype(np.float64, copy=False).tolist())
+        for r, is_int in zip(rows, integer)
+    )) for rows in slices))
 
 
 def read_series(path) -> dict[str, np.ndarray]:
     """A series CSV's columns by header name. An empty file, a row with another field count
     than the header or a field that is not a number is a ValueError naming the file (and line)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        names = next(reader, None)
-        if names is None:
-            raise ValueError(f"{path}: empty file, expected a header line")
-        rows = []
-        for row in reader:
-            try:
-                if len(row) != len(names):
-                    raise ValueError(f"expected the header's {len(names)} fields, got {len(row)}")
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
+    names, rows = _read_csv(path, lambda row: [float(v) for v in row])
     data = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
 # Each config's JSON form is one table of (JSON key, field, decode, encode) rows. An absent
 # key is not passed, so its field takes the dataclass default; a None field writes no key.
+
+
+def _same(value):
+    return value
 
 
 def _real(value) -> float:
@@ -401,12 +387,15 @@ def pipeline_config_from_dict(data: dict) -> PipelineConfig:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def dump_json(path, payload: dict) -> None:
-    """Stable serialization: sorted keys, two-space indent, trailing newline."""
-    with open(path, "w") as fh:
+    """Stable serialization: sorted keys, two-space indent, trailing newline, ASCII only."""
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -132,10 +132,6 @@ class Pipeline:
         self._last_event_frame = 0  # so the first event's delta is its absolute index
 
     @property
-    def tracker(self):
-        return self._tracker
-
-    @property
     def frames_processed(self) -> int:
         return self._frames_processed
 

@@ -384,17 +384,34 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "name, keep, extra",
-        [("events.csv", 3, ""), ("truth.csv", 2, ""), ("events.csv", 5, ",9"), ("truth.csv", 3, ",9")],
-        ids=["short-event", "short-truth", "long-event", "long-truth"],
+        "name, change",
+        [
+            ("events.csv", (3, "")), ("truth.csv", (2, "")), ("events.csv", (5, ",9")), ("truth.csv", (3, ",9")),
+            ("events.csv", "renamed-column"), ("truth.csv", "renamed-column"),
+            ("events.csv", "empty"), ("truth.csv", "empty"),
+        ],
+        ids=[
+            "short-event", "short-truth", "long-event", "long-truth",
+            "renamed-event-column", "renamed-truth-column", "empty-event", "empty-truth",
+        ],
     )
-    def test_csv_row_with_missing_or_extra_fields(self, replica_dir, tmp_path, capsys, name, keep, extra):
-        """A row with another field count than its header names the file and the line."""
+    def test_csv_row_with_missing_or_extra_fields(self, replica_dir, tmp_path, capsys, name, change):
+        """A malformed events.csv or truth.csv names the file: a row with another field count
+        than its header also names the line, a header other than the log's exact one is
+        quoted, and a 0-byte file is not read as a log without rows."""
         for log in ("events.csv", "truth.csv"):
             (tmp_path / log).write_bytes((replica_dir / log).read_bytes())
         lines = (tmp_path / name).read_text().splitlines()
-        lines[-1] = ",".join(lines[-1].split(",")[:keep]) + extra
-        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        if change == "renamed-column":
+            header, lines[0] = lines[0], lines[0].rsplit(",", 1)[0] + ",target"
+            expected = f"expected the header {header}, got {lines[0]}"
+        elif change == "empty":
+            lines, expected = [], "empty file, expected a header line"
+        else:
+            keep, extra = change
+            lines[-1] = ",".join(lines[-1].split(",")[:keep]) + extra
+            expected = f"line {len(lines)}:"
+        (tmp_path / name).write_text("".join(line + "\n" for line in lines))
         out = tmp_path / "out"
         assert main([
             "eval",
@@ -404,7 +421,58 @@ class TestErrors:
             "--out-dir", str(out),
         ]) == 2
         stderr = capsys.readouterr().err
-        assert stderr.startswith("error:") and name in stderr and f"line {len(lines)}:" in stderr
+        assert stderr.startswith("error:") and name in stderr and expected in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frame", [99999, -5])
+    def test_event_frame_outside_the_stream(self, replica_dir, tmp_path, capsys, frame):
+        """An event frame no confusion cell or phase can count is an error naming it, not an
+        event that only the traffic figures see."""
+        io.write_events(tmp_path / "events.csv", [io.EventRow(frame, 0, 3, 1.0, 0)])
+        out = tmp_path / "out"
+        assert main([
+            "eval",
+            "--events", str(tmp_path / "events.csv"),
+            "--truth", str(replica_dir / "truth.csv"),
+            "--scenario", str(replica_dir / "scenario.json"),
+            "--out-dir", str(out),
+        ]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error:") and f"event frame {frame} outside" in stderr
+        assert not out.exists()
+
+    def test_event_frame_before_warmup_is_valid(self, replica_dir, tmp_path, capsys):
+        """Frame 0 lies in the stream but before the warm-up: valid, and not scored."""
+        io.write_events(tmp_path / "events.csv", [io.EventRow(0, 0, 3, 1.0, 0)])
+        assert main([
+            "eval",
+            "--events", str(tmp_path / "events.csv"),
+            "--truth", str(replica_dir / "truth.csv"),
+            "--scenario", str(replica_dir / "scenario.json"),
+            "--out-dir", str(tmp_path / "out"),
+        ]) == 0
+        metrics = read_json(tmp_path / "out" / "metrics.json")
+        assert metrics["confusion"]["fp"] == 0 and metrics["events_transmitted"] == 0
+
+    @pytest.mark.parametrize("case", ["truncated-config", "binary-scenario"])
+    def test_unreadable_json_names_its_file(self, replica_dir, tmp_path, capsys, case):
+        """A JSON input that does not parse, or is not UTF-8 text, is an error naming the file."""
+        out = tmp_path / "out"
+        if case == "truncated-config":
+            document = tmp_path / "pipeline.json"
+            document.write_bytes((replica_dir / "pipeline.json").read_bytes()[:20])
+            args = ["detect", "--frames", str(replica_dir / "frames.bin"), "--config", str(document)]
+        else:
+            document = replica_dir / "frames.bin"
+            args = [
+                "eval",
+                "--events", str(replica_dir / "events.csv"),
+                "--truth", str(replica_dir / "truth.csv"),
+                "--scenario", str(document),
+            ]
+        assert main(args + ["--out-dir", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {document}: ")
         assert not out.exists()
 
     def test_replica_generation_failure_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
