@@ -210,7 +210,9 @@ class SyntheticStream:
     interior bins and T frames, phase row a starts at output a*K, jitter row
     a at T*K + a*K, and the event draws at 2*T*K. Every draw is a uniform
     double taking exactly one output, so ``advance`` reaches any row, and any
-    run of rows is bit-identical to the same rows of the whole stream.
+    run of rows is bit-identical to the same rows of the whole stream. Every
+    run of rows, through ``generate`` too, is synthesized in the stream's one
+    spectrum buffer, so a stream is not safe to share between threads.
     """
 
     def __init__(self, scenario: ScenarioConfig):
@@ -218,6 +220,7 @@ class SyntheticStream:
         self._levels = np.concatenate([p.levels() for p in scenario.phases])
         self._tones, self.truth = self._events()
         self._tone_ends = [end for _, end, _, _ in self._tones]
+        self._spectrum = None  # (rows, N/2 + 1), made once: DC and Nyquist stay empty
 
     def _events(self):
         """(start, end, bin, tone) per event in draw order, and the ground truth."""
@@ -250,32 +253,23 @@ class SyntheticStream:
     def _synthesize(self, start: int, stop: int, out: np.ndarray) -> None:
         """Rows [start, stop) of the stream into ``out``, a (stop - start, N) array.
 
-        The seeded draws and every chunk-sized array are made here, in the
-        calling thread. The rest, spectrum to samples, runs on disjoint row
-        ranges, one per usable CPU (see synthesis_ranges): each range but the
-        first on a pool thread, the first in the caller, which then waits for
-        the others. Each range makes the same IEEE operations on its rows as
-        the whole chunk would, so the bytes do not depend on the split.
+        The rows run as disjoint ranges, one per usable CPU (see synthesis_ranges):
+        each range but the first on a pool thread, the first in the caller, which
+        then waits for the others. Each range draws its own noise into its own
+        output rows and makes the same IEEE operations on its rows as the whole
+        chunk would, so the bytes do not depend on the split.
         """
         scenario, rows = self.scenario, stop - start
-        nyquist = scenario.frame_size // 2
-        n_noise_bins = nyquist - 1  # interior bins 1 .. nyquist-1
-        rng = np.random.default_rng(scenario.seed)
-        rng.bit_generator.advance(start * n_noise_bins)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(rows, n_noise_bins))
-        rng.bit_generator.advance((scenario.total_frames - rows) * n_noise_bins)
-        magnitude = rng.uniform(
-            -scenario.magnitude_jitter, scenario.magnitude_jitter, size=(rows, n_noise_bins)
-        )
-        # level * (1 + jitter), in place to hold fewer chunk-sized temporaries.
-        magnitude += 1.0
-        magnitude *= self._levels[start:stop, None]
-        half_spectrum = np.zeros((rows, nyquist + 1), dtype=np.complex128)
+        n_noise_bins = scenario.frame_size // 2 - 1  # interior bins 1 .. nyquist-1
+        if self._spectrum is None or len(self._spectrum) < rows:
+            self._spectrum = np.zeros((rows, n_noise_bins + 2), dtype=np.complex128)
         bounds = synthesis_ranges(rows, scenario.frame_size)
-        args = [
-            (start + a, phases[a:b], magnitude[a:b], half_spectrum[a:b], out[a:b])
-            for a, b in zip(bounds, bounds[1:])
-        ]
+        args = []
+        for a, b in zip(bounds, bounds[1:]):
+            # The range's phase and jitter draws, in the first values of its output rows.
+            draws = out[a:b].reshape(-1)[: 2 * (b - a) * n_noise_bins]
+            phases, magnitude = draws.reshape(2, b - a, n_noise_bins)
+            args.append((start + a, phases, magnitude, self._spectrum[a:b], out[a:b]))
         # Not imported with spectrig (2 ms). The pool starts a thread per submit: none for one range
         from concurrent.futures import ThreadPoolExecutor
 
@@ -286,13 +280,24 @@ class SyntheticStream:
             helper.result()  # re-raises a helper's error
 
     def _synthesize_range(self, start, phases, magnitude, half_spectrum, out) -> None:
-        """Spectrum to samples for the rows from ``start`` on: exp(1j * phase) times the
-        magnitudes, plus the tones on these rows, through irfft into ``out``.
-
-        Writes only into its own (rows, N/2 + 1) spectrum and (rows, N) output,
-        and allocates no array of their size.
-        """
-        stop, nyquist = start + len(out), self.scenario.frame_size // 2
+        """The rows from ``start`` on: their seeded draws into ``phases`` and ``magnitude``,
+        exp(1j * phase) times the magnitudes, plus the tones on these rows, through irfft
+        into ``out``. Writes only into its arguments, and allocates no array of their size;
+        the draws may be views into ``out``, which irfft writes after they are read."""
+        scenario, jitter = self.scenario, self.scenario.magnitude_jitter
+        stop, nyquist = start + len(out), scenario.frame_size // 2
+        # Generator.uniform(low, high) is low + (high - low) * random(), two IEEE operations.
+        rng = np.random.default_rng(scenario.seed)
+        rng.bit_generator.advance(start * (nyquist - 1))
+        rng.random(out=phases)
+        phases *= 2.0 * np.pi  # uniform(0, 2 pi): adding the low end, 0.0, changes no bit
+        rng.bit_generator.advance((scenario.total_frames - len(out)) * (nyquist - 1))
+        rng.random(out=magnitude)
+        magnitude *= jitter - -jitter
+        magnitude += -jitter
+        # level * (1 + jitter), in place to hold fewer temporaries.
+        magnitude += 1.0
+        magnitude *= self._levels[start:stop, None]
         # In place, and each step the same IEEE operation as in the whole-matrix expression.
         interior = half_spectrum[:, 1:nyquist]
         np.multiply(phases, 1j, out=interior)

@@ -386,10 +386,11 @@ def pipeline_config_from_dict(data: dict) -> PipelineConfig:
     return config
 
 
-def load_json(path) -> dict:
+def load_json(path, decode=_same):
+    """The JSON document at ``path``, through ``decode``; a parse or decode error names the file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        return decode(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError and the decoders' errors
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -401,7 +402,7 @@ def dump_json(path, payload: dict) -> None:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    return scenario_from_dict(load_json(path))
+    return load_json(path, scenario_from_dict)
 
 
 def save_scenario(path, scenario: ScenarioConfig) -> None:
@@ -409,7 +410,7 @@ def save_scenario(path, scenario: ScenarioConfig) -> None:
 
 
 def load_pipeline_config(path) -> PipelineConfig:
-    return pipeline_config_from_dict(load_json(path))
+    return load_json(path, pipeline_config_from_dict)
 
 
 def save_pipeline_config(path, config: PipelineConfig) -> None:

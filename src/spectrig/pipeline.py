@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noisefloor import MAX_WINDOW, EmaTracker, NoiseFloorState
-from .spectral import BinSet, FftPlan, Frame, check_frame_format
+from .spectral import BLOCK_SAMPLES, BinSet, FftPlan, Frame, check_frame_format, chunk_rows
 from .trigger import (
     MAX_BIN_ID,
     ThresholdConfig,
@@ -21,7 +21,6 @@ from .trigger import (
 
 TRACKER_MEDIAN = "median"
 TRACKER_EMA = "ema"
-BLOCK_SAMPLES = 8192  # frames per block = this // frame_size (>= 1); larger slowed N=2048 down
 
 
 @dataclass
@@ -128,6 +127,11 @@ class Pipeline:
             self._tracker = NoiseFloorState(config.bins, config.fast_window, config.slow_window)
         self._coefficients = config.thresholds.as_array()
         self._block_rows = max(1, BLOCK_SAMPLES // config.frame_size)
+        # A span, transformed at once: the most whole blocks, up to one chunk, whose (rows, bins)
+        # magnitudes fit in BLOCK_SAMPLES values; one block with a window, to bound its copy.
+        blocks = min(chunk_rows(config.frame_size), BLOCK_SAMPLES // len(config.bins))
+        blocks = max(1, blocks // self._block_rows) if config.window is None else 1
+        self._span_rows = blocks * self._block_rows
         self._frames_processed = 0
         self._last_event_frame = 0  # so the first event's delta is its absolute index
 
@@ -155,43 +159,46 @@ class Pipeline:
         return self._blocks(samples, self._counted_magnitudes)
 
     def _blocks(self, samples, step) -> Iterator:
-        """``step`` on each block of rows in order; a failed block is redone row by row."""
+        """``step`` on each block's magnitudes in order, transformed a span at a time. A failed
+        span is redone block by block, and a failed block row by row, to name the bad frame."""
         samples, size = np.asarray(samples, dtype=np.float64), self.config.frame_size
         if samples.size and (samples.ndim != 2 or samples.shape[1] != size):
             raise ValueError(f"expected (frames, {size}) samples, got shape {samples.shape}")
-        for start in range(0, len(samples), self._block_rows):
-            block = samples[start : start + self._block_rows]
+        for start in range(0, len(samples), self._span_rows):
+            span = samples[start : start + self._span_rows]
             try:
-                yield step(block)
+                mags = self._magnitudes(span)
             except ValueError:
-                # Redo the block frame by frame, to name the frame at fault.
-                for row in range(start, start + len(block)):
-                    try:
-                        yield step(samples[row : row + 1])
-                    except ValueError as exc:
-                        raise ValueError(f"frame {self._frames_processed}: {exc}") from exc
+                mags = None  # redone below
+            for first in range(0, len(span), self._block_rows):
+                block = slice(first, first + self._block_rows)
+                try:
+                    yield step(self._magnitudes(span[block]) if mags is None else mags[block])
+                except ValueError:
+                    for row in span[block]:
+                        try:
+                            yield step(self._magnitudes(row[None]))
+                        except ValueError as exc:
+                            raise ValueError(f"frame {self._frames_processed}: {exc}") from exc
 
     def _magnitudes(self, samples: np.ndarray) -> np.ndarray:
-        """Window, pruned transform and |X|: a block's (rows, bins) magnitudes."""
+        """Window, pruned transform and |X|: the rows' (rows, bins) magnitudes."""
         if self.config.window is not None:
             samples = samples * self.config.window
         return np.abs(self._plan(samples))
 
-    def _counted_magnitudes(self, samples: np.ndarray) -> np.ndarray:
-        mags = self._magnitudes(samples)
-        self._frames_processed += len(samples)
+    def _counted_magnitudes(self, mags: np.ndarray) -> np.ndarray:
+        self._frames_processed += len(mags)
         return mags
 
-    def _step(self, samples: np.ndarray) -> BlockResult:
-        """The detection core on one block of rows; raises before changing any state.
+    def _step(self, mags: np.ndarray) -> BlockResult:
+        """Floor and decision on one block's magnitudes; raises before changing any state.
 
         Each input is checked once: samples by the transform, magnitudes by the
         tracker. The estimates are selected from, or averaged over, checked
         magnitudes, and ThresholdConfig checked the coefficients, so the decision
         runs unchecked on the one floor computed here."""
         first = self._frames_processed
-        mags = self._magnitudes(samples)
-
         estimates = self._tracker.update_all(mags)
         floor = self._coefficients * estimates
         margins = mags - floor
@@ -199,20 +206,20 @@ class Pipeline:
         events = frames_fired(decisions)
         events[: max(self.config.warmup_frames - first, 0)] = 0
 
-        records = [None] * len(samples)
+        records = [None] * len(mags)
         for t in events.nonzero()[0].tolist():
             pos = first_firing_bin(decisions[t])
             estimate = estimates[t, pos]
             strength = float(mags[t, pos] / estimate) if estimate > 0 else math.inf
             delta, self._last_event_frame = first + t - self._last_event_frame, first + t
             records[t] = TriggerEvent(delta, self.config.bins.bins[pos], strength)
-        self._frames_processed += len(samples)
+        self._frames_processed += len(mags)
         indices = np.arange(first, self._frames_processed)
         return BlockResult(indices, mags, estimates, margins, events, records)
 
     def process_frame(self, frame: Frame) -> FrameResult:
         """Run one frame through the detection core, as a block of one row."""
-        return self._step(frame.samples[None]).frame_result(0)
+        return self._step(self._magnitudes(frame.samples[None])).frame_result(0)
 
     def run_stream(self, samples) -> list[FrameResult]:
         """Process a (frames, frame_size) array in order; errors carry the frame's row."""

@@ -22,8 +22,9 @@ def check_frame_format(size: int, sample_rate_hz: float) -> None:
         raise ValueError(f"sample rate must be finite and positive, got {sample_rate_hz}")
 
 
+BLOCK_SAMPLES = 8192  # the most values per array in the detection core; block rows = this // N
 # Samples per chunk of a frame stream as it is generated, written and read: 2 MB of
-# float64. A multiple of pipeline.BLOCK_SAMPLES, so detector blocks never straddle a chunk.
+# float64. A multiple of BLOCK_SAMPLES, so detector blocks never straddle a chunk.
 CHUNK_SAMPLES = 1 << 18
 
 
@@ -186,24 +187,48 @@ class FftPlan:
                 at = {j: i for i, j in enumerate(kept)}
                 even = (2 * len(kept) * np.arange(groups))[:, None] + [at[j % half] for j in needed]
                 twiddles = [w[j % half] if j % m < half else -w[j % half] for j in needed]
-                self._pruned.append((
-                    np.concatenate([even.ravel(), even.ravel() + len(kept)]),
-                    np.tile(twiddles, groups),
-                ))
+                index = np.concatenate([even.ravel(), even.ravel() + len(kept)])
+                if held is None and not self._twiddles:  # the first gather reverses the bits
+                    index = self._reorder[index]
+                self._pruned.append((index, np.tile(twiddles, groups)))
                 held = needed
             m *= 2
 
     def __call__(self, samples) -> np.ndarray:
         """Spectrum of one frame, shape (N,), or of each row of a (T, N) block,
         bit-identical per row: no butterfly group straddles two rows. A plan
-        with bins returns shape (M,) or (T, M)."""
+        with bins returns shape (M,) or (T, M). Only the output may hold more
+        than BLOCK_SAMPLES values (or one row's): the early stages run on groups
+        of BLOCK_SAMPLES // N rows, and the pruned stages from the first whose
+        gathered pairs for all rows fit BLOCK_SAMPLES once on all rows."""
         x = np.asarray(samples)
         if x.ndim not in (1, 2) or x.shape[-1] != self.size:
             raise ValueError(f"expected {self.size} samples per frame, got shape {x.shape}")
-        if not np.isfinite(x).all():
+        shape, rows = x.shape, x.reshape(-1, self.size)
+        group, pruned = max(1, BLOCK_SAMPLES // self.size), self._pruned
+        if len(rows) <= group:  # one group, as in every one-frame call: all stages at once
+            x = self._butterflies(self._first(rows), pruned)
+        else:
+            # Stage 0 reads N values a row, more than the bound holds for more rows than a
+            # group; each later stage reads no more values than it gathers.
+            per_row = BLOCK_SAMPLES // len(rows)
+            fits = (s for s in range(1, len(pruned)) if pruned[s][0].size <= per_row)
+            tail = next(fits, len(pruned))
+            heads = (self._first(rows[a : a + group]) for a in range(0, len(rows), group))
+            x = np.concatenate([self._butterflies(head, pruned[:tail]) for head in heads])
+            x = self._butterflies(x, pruned[tail:])
+        if self.bins is None:
+            return x.reshape(shape)
+        return x[:, : len(self.bins)].reshape(shape[:-1] + (len(self.bins),))
+
+    def _first(self, rows: np.ndarray) -> np.ndarray:
+        """The rows, checked, through the full stages; with none, the real samples, which the
+        first gather takes at bit-reversed indices and numpy multiplies and adds as x + 0j."""
+        if not np.isfinite(rows).all():
             raise ValueError("samples must all be finite")
-        shape = x.shape
-        x = np.take(x, self._reorder, axis=-1).astype(np.complex128)
+        if not self._twiddles:
+            return rows
+        x = np.take(rows, self._reorder, axis=1).astype(np.complex128)
         for w in self._twiddles:
             half = w.size
             x = x.reshape(-1, 2 * half)
@@ -211,13 +236,14 @@ class FftPlan:
             lower = x[:, half:] * w
             x[:, :half] = upper + lower
             x[:, half:] = upper - lower
-        if self.bins is None:
-            return x.reshape(shape)
-        x = x.reshape(-1, self.size)
-        for index, w in self._pruned:
+        return x.reshape(-1, self.size)
+
+    def _butterflies(self, x: np.ndarray, stages) -> np.ndarray:
+        """Pruned ``stages`` on the rows of ``x``: each gathers its pairs, then even + odd * w."""
+        for index, w in stages:
             pairs = x.take(index, axis=1)
             x = pairs[:, : w.size] + pairs[:, w.size :] * w
-        return x[:, : len(self.bins)].reshape(shape[:-1] + (len(self.bins),))
+        return x
 
 
 @lru_cache(maxsize=32)

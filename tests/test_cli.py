@@ -475,6 +475,26 @@ class TestErrors:
         assert stderr.startswith(f"error: {document}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "detect", "eval"])
+    def test_bad_config_field_names_its_file(self, replica_dir, tmp_path, capsys, command):
+        """A JSON input that parses but holds a bad field is an error naming the file and field."""
+        name = "pipeline.json" if command == "detect" else "scenario.json"
+        document = tmp_path / name
+        io.dump_json(document, {**read_json(replica_dir / name), "warmup_frames": "x"})
+        args = {
+            "generate": ["generate", "--config", str(document)],
+            "detect": ["detect", "--frames", str(replica_dir / "frames.bin"), "--config", str(document)],
+            "eval": [
+                "eval", "--events", str(replica_dir / "events.csv"),
+                "--truth", str(replica_dir / "truth.csv"), "--scenario", str(document),
+            ],
+        }[command]
+        out = tmp_path / "out"
+        assert main(args + ["--out-dir", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {document}: ") and "field 'warmup_frames'" in stderr
+        assert not out.exists()
+
     def test_replica_generation_failure_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
         """Generation failing on a later chunk's rows: an error line, exit 2 and no out-dir."""
         step = SyntheticStream._synthesize_range

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectrig import pipeline as pipeline_module
+from spectrig import spectral
 from spectrig.pipeline import (
     Pipeline,
     PipelineConfig,
@@ -308,6 +309,26 @@ class TestBlockCore:
         next_frame = Frame(samples=frames[24], frame_index=24, sample_rate_hz=1000.0)
         after = pipeline.process_frame(next_frame)
         assert np.array_equal(after.estimates, reference.process_frame(next_frame).estimates)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow the floor rejects
+    @pytest.mark.parametrize("core, bad, message", [
+        ("process_blocks", np.nan, "samples must all be finite"),  # the span's transform fails
+        ("process_blocks", 1e308, "magnitudes must be finite"),  # sums overflow: the floor fails
+        ("magnitude_blocks", np.inf, "samples must all be finite"),
+    ])
+    def test_error_in_a_middle_group_of_a_span_names_the_frame(self, core, bad, message):
+        """A span of several blocks is transformed in groups; a bad frame in a middle
+        group is still named, with every frame before it processed."""
+        config = config_for([3, 9], n=32, fast=2, slow=4)
+        frames = np.random.default_rng(5).normal(size=(40, 32))
+        frames[22] *= bad
+        with mock.patch.object(pipeline_module, "BLOCK_SAMPLES", 32 * 4):
+            pipeline = Pipeline(config)  # blocks of 4 rows
+        assert pipeline._span_rows >= 40  # one span of 10 blocks: frame 22 lies in the sixth
+        with mock.patch.object(spectral, "BLOCK_SAMPLES", 32 * 4):  # transform groups of 4 rows
+            with pytest.raises(ValueError, match=f"frame 22: {message}"):
+                list(getattr(pipeline, core)(frames))
+        assert pipeline.frames_processed == 22
 
     def test_magnitude_blocks_are_the_cores_magnitudes(self):
         """The magnitudes alone come in the same blocks, with the same values and errors."""

@@ -1,10 +1,13 @@
 """Transform correctness against the direct-summation oracle, plus frame types."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectrig import spectral
 from spectrig.spectral import BinSet, FftPlan, Frame, fft, magnitude
 
 from oracles import naive_dft, radix2_reference
@@ -217,6 +220,36 @@ class TestPrunedPlan:
             assert plan(row).tobytes() == values.tobytes()
         assert np.array_equal(np.abs(out), np.abs(FftPlan(n)(samples)[:, bins]))
         assert rel_error(np.abs(out), np.abs(np.fft.rfft(samples))[:, bins]) < 1e-12
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_block_bound_equals_rows_alone(self, data):
+        """With BLOCK_SAMPLES patched to any bound, the early stages run in groups of
+        bound // N rows and the rest once over all rows: each row still carries the
+        bits of its own one-row call, with full stages or none, and with the all-row
+        stages starting at any pruned stage."""
+        n = 2 ** data.draw(st.integers(3, 11), label="log2 N")
+        full = data.draw(st.booleans(), label="full stages")
+        # Both parities make stage 2 need both outputs, so it runs in full; odd bins alone
+        # (and their spares) prune every stage.
+        odd = st.integers(0, n // 4 - 1).map(lambda k: 2 * k + 1)
+        bins = data.draw(st.lists(odd, min_size=1, max_size=4, unique=True), label="odd bins")
+        if full:
+            bins += data.draw(st.lists(st.integers(0, n // 2), max_size=60), label="more bins")
+            bins.append(2 * data.draw(st.integers(0, n // 4), label="an even bin"))
+        plan = FftPlan(n, sorted(set(bins)))
+        assert bool(plan._twiddles) == full
+        rows = data.draw(st.integers(1, 40), label="rows")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        samples = np.random.default_rng(seed).normal(size=(rows, n)) * 100.0
+        # A bound anywhere in [8, 2**13], or the one whose all-row stages start at stage s.
+        starts = [rows * index.size for index, _ in plan._pruned[1:]]
+        bound = data.draw(st.integers(8, 2**13) | st.sampled_from(starts or [8]), label="bound")
+        with mock.patch.object(spectral, "BLOCK_SAMPLES", bound):
+            out = plan(samples)
+        assert out.tobytes() == plan(samples).tobytes()
+        for row, values in zip(samples, out):
+            assert plan(row).tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("bins", [(0,), (5,), (64,), (0, 64), (7, 9), (3, 35)])
     def test_one_or_two_bins_one_row_against_four(self, bins):

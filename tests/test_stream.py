@@ -134,6 +134,12 @@ class TestBoundedHeap:
         assert peaks[2400] <= 1.1 * peaks[600]
         assert peaks[2400] < 2400 * WIDE * 8 / 4  # a quarter of the sample bytes
 
+    def test_generate_holds_a_chunk_and_its_spectrum(self, wide_runs):
+        """A chunk's noise draws land in its own output rows and its spectrum is the stream's,
+        made once: one 2 MB chunk of samples and one of spectra, not 2 MB of draws besides."""
+        _, peaks = wide_runs
+        assert max(peaks.values()) < 2.5 * spectral.CHUNK_SAMPLES * 8
+
     @pytest.mark.parametrize("detector", DETECT_ARGS)
     def test_detect(self, wide_runs, detector):
         work, _ = wide_runs
@@ -160,6 +166,19 @@ class TestBoundedHeap:
             "detect", "--frames", str(work / "gen600" / "frames.bin"),
             "--config", str(work / "pipeline.json"), *DETECT_ARGS[detector],
             "--out-dir", str(work / f"{detector}_one_chunk"),
+        ]
+        heap_peak(argv)  # warm-up: plans and caches of this frame size
+        assert heap_peak(argv) < 1.5 * spectral.CHUNK_SAMPLES * 8
+
+    def test_windowed_detect_holds_one_chunk(self, wide_runs):
+        """A window's copy of the samples is made a block at a time, like the transform's
+        arrays, not for a whole span."""
+        work, _ = wide_runs
+        config = work / "windowed.json"
+        io.dump_json(config, {**io.load_json(work / "pipeline.json"), "window": [0.5] * WIDE})
+        argv = [
+            "detect", "--frames", str(work / "gen600" / "frames.bin"), "--config", str(config),
+            "--out-dir", str(work / "windowed"),
         ]
         heap_peak(argv)  # warm-up: plans and caches of this frame size
         assert heap_peak(argv) < 1.5 * spectral.CHUNK_SAMPLES * 8
