@@ -12,6 +12,8 @@ Library layout:
   cli         generate / detect / eval / replica subcommands
 """
 
+import types
+
 from .baselines import (
     DecimationConfig,
     FixedThresholdConfig,
@@ -69,55 +71,8 @@ from .trigger import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinSet",
-    "ConfusionMatrix",
-    "DecimationConfig",
-    "DerivedMetrics",
-    "EmaTracker",
-    "EventInterval",
-    "EventSpec",
-    "FftPlan",
-    "FixedThresholdConfig",
-    "Frame",
-    "FrameResult",
-    "GroundTruth",
-    "MedianBuffer",
-    "NoiseFloorState",
-    "PAYLOAD_BITS",
-    "PhaseScore",
-    "PhaseSpec",
-    "Pipeline",
-    "PipelineConfig",
-    "Ramp",
-    "ScenarioConfig",
-    "SyntheticStream",
-    "ThresholdConfig",
-    "TrafficStats",
-    "TriggerEvent",
-    "amplification",
-    "calibrate_fixed_thresholds",
-    "decide_bin",
-    "decide_event",
-    "decimated_adaptive_detector",
-    "decode_event",
-    "derive_metrics",
-    "encode_event",
-    "fft",
-    "first_firing_bin",
-    "fixed_spectral_detector",
-    "generate",
-    "latency_budget",
-    "magnitude",
-    "payload_comparison",
-    "payload_from_bytes",
-    "payload_to_bytes",
-    "per_phase_scores",
-    "replica_scenario",
-    "run_stream",
-    "score",
-    "state_entry_count",
-    "state_memory_bytes",
-    "threshold_adaptation",
-    "traffic_stats",
-]
+# The public names imported above; modules (the submodules and `types`) are left out.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,6 +97,10 @@ class BlockResult:
     def __len__(self) -> int:
         return len(self.records)
 
+    def __getitem__(self, rows: slice) -> BlockResult:
+        """The results of a slice of the rows: views of the arrays, and their records."""
+        return BlockResult(*(getattr(self, f.name)[rows] for f in fields(self)))
+
     def frame_result(self, t: int) -> FrameResult:
         return FrameResult(
             frame_index=int(self.frame_indices[t]),
@@ -149,6 +153,11 @@ class Pipeline:
         to 0 during the warm-up. Successive calls continue one stream. An error
         names the frame at fault by its index, and every frame before it has
         been processed.
+
+        The work runs a span of several blocks at a time (see _blocks), so a
+        span is processed in full before its first block is yielded. On the
+        error path, the frames of the failed span before the bad one are yielded
+        as one-row results, not as blocks.
         """
         return self._blocks(samples, self._step)
 
@@ -159,27 +168,26 @@ class Pipeline:
         return self._blocks(samples, self._counted_magnitudes)
 
     def _blocks(self, samples, step) -> Iterator:
-        """``step`` on each block's magnitudes in order, transformed a span at a time. A failed
-        span is redone block by block, and a failed block row by row, to name the bad frame."""
+        """``step`` once per span on the span's magnitudes, its result handed out as block
+        slices once the whole span has passed. A span whose step raises changed no state; it
+        is redone row by row, to name the bad frame, and the rows before that frame come out
+        as one-row results."""
         samples, size = np.asarray(samples, dtype=np.float64), self.config.frame_size
         if samples.size and (samples.ndim != 2 or samples.shape[1] != size):
             raise ValueError(f"expected (frames, {size}) samples, got shape {samples.shape}")
         for start in range(0, len(samples), self._span_rows):
             span = samples[start : start + self._span_rows]
             try:
-                mags = self._magnitudes(span)
+                result = step(self._magnitudes(span))
             except ValueError:
-                mags = None  # redone below
-            for first in range(0, len(span), self._block_rows):
-                block = slice(first, first + self._block_rows)
-                try:
-                    yield step(self._magnitudes(span[block]) if mags is None else mags[block])
-                except ValueError:
-                    for row in span[block]:
-                        try:
-                            yield step(self._magnitudes(row[None]))
-                        except ValueError as exc:
-                            raise ValueError(f"frame {self._frames_processed}: {exc}") from exc
+                for row in span:  # a row alone gives its bits in the span: if none fails, done
+                    try:
+                        yield step(self._magnitudes(row[None]))
+                    except ValueError as exc:
+                        raise ValueError(f"frame {self._frames_processed}: {exc}") from exc
+            else:
+                for first in range(0, len(span), self._block_rows):
+                    yield result[first : first + self._block_rows]
 
     def _magnitudes(self, samples: np.ndarray) -> np.ndarray:
         """Window, pruned transform and |X|: the rows' (rows, bins) magnitudes."""
@@ -192,7 +200,7 @@ class Pipeline:
         return mags
 
     def _step(self, mags: np.ndarray) -> BlockResult:
-        """Floor and decision on one block's magnitudes; raises before changing any state.
+        """Floor and decision on a span's, or one row's, magnitudes; raises before changing any state.
 
         Each input is checked once: samples by the transform, magnitudes by the
         tracker. The estimates are selected from, or averaged over, checked

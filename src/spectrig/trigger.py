@@ -112,8 +112,9 @@ def encode_event(event: TriggerEvent) -> int:
         raise ValueError(f"bin_id {event.bin_id} out of range")
     if event.strength < 0:
         raise ValueError("strength must be >= 0")
-    if math.isfinite(event.strength):
-        raw = min(int(round(event.strength * STRENGTH_SCALE)), _STRENGTH_FIELD_MAX)
+    # Compared before the multiply, which overflows to inf near the float maximum; NaN saturates.
+    if event.strength <= _STRENGTH_FIELD_MAX / STRENGTH_SCALE:
+        raw = int(round(event.strength * STRENGTH_SCALE))
     else:
         raw = _STRENGTH_FIELD_MAX
     return (

@@ -202,6 +202,22 @@ class TestBaselineDetectors:
         ]) == 0
         assert (det_dir / "events.csv").read_bytes() == (replica_dir / "events.csv").read_bytes()
 
+    def test_fixed_detector_saturates_a_huge_strength(self, tmp_path):
+        """A finite sample near the float maximum fires with a saturated strength field."""
+        samples = np.random.default_rng(1).normal(size=(20, 128))
+        samples[12, 7] = 1e308
+        io.write_frames(tmp_path / "frames.bin", samples, 1000.0)
+        assert main([
+            "detect",
+            "--frames", str(tmp_path / "frames.bin"),
+            "--detector", "fixed",
+            "--calib-frames", "5",
+            "--out-dir", str(tmp_path / "out"),
+        ]) == 0
+        (row,) = [row for row in io.read_events(tmp_path / "out" / "events.csv") if row.frame == 12]
+        assert row.strength > 1e306
+        assert (row.payload >> 40) & 0xFFFF == 0xFFFF
+
     def test_decimated_detector_runs(self, replica_dir, tmp_path):
         det_dir = tmp_path / "decimated"
         assert main([

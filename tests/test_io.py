@@ -1,11 +1,14 @@
 """Round-trips for every on-disk format the tool emits."""
 
+import contextlib
 import copy
 import json
 import math
 import struct
+import sys
 import tracemalloc
 from dataclasses import fields
+from io import StringIO
 from unittest import mock
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectrig import io, spectral
+from spectrig.cli import main
 from spectrig.envsim import (
     EventInterval,
     EventSpec,
@@ -217,6 +221,43 @@ class TestChunkedContainer:
         path.write_bytes(b"STFR")
         with pytest.raises(ValueError, match="truncated"):
             io.FrameReader(path)
+
+
+_FUZZ_CONFIG = PipelineConfig(
+    frame_size=16, sample_rate_hz=250.0, bins=BinSet((1, 3)), fast_window=2, slow_window=4
+)
+_FUZZ_SAMPLE = st.floats() | st.sampled_from([1e308, -1e308, sys.float_info.max])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # huge samples overflow the sums
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mutation=st.sampled_from(["truncate", "bytes", "sample"]))
+def test_fuzzed_container_gives_events_or_an_error_line(tmp_path_factory, data, mutation):
+    """A small valid container, truncated or with header or payload bytes overwritten: each
+    detector exits 0, or 2 with an error: line, and no exception leaves main."""
+    root = tmp_path_factory.mktemp("fuzz")
+    io.save_pipeline_config(root / "pipeline.json", _FUZZ_CONFIG)
+    io.write_frames(root / "frames.bin", some_frames(count=6, n=16), 250.0)
+    blob = bytearray((root / "frames.bin").read_bytes())
+    if mutation == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="length") :]
+    elif mutation == "bytes":  # anywhere, the header included; past the end it appends
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        new = data.draw(st.binary(min_size=1, max_size=8), label="bytes")
+        blob[at : at + len(new)] = new
+    else:
+        at = len(blob) - 8 * data.draw(st.integers(1, 6 * 16), label="sample from the end")
+        blob[at : at + 8] = struct.pack("<d", data.draw(_FUZZ_SAMPLE, label="sample"))
+    (root / "frames.bin").write_bytes(blob)
+    for detector in ("proposed", "fixed", "decimated"):
+        stderr = StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(StringIO()):
+            code = main([
+                "detect", "--frames", str(root / "frames.bin"), "--detector", detector,
+                "--config", str(root / "pipeline.json"), "--calib-frames", "3",
+                "--out-dir", str(root / detector),
+            ])
+        assert code == 0 or (code == 2 and stderr.getvalue().startswith("error: ")), stderr.getvalue()
 
 
 class TestCsvLogs:

@@ -311,24 +311,51 @@ class TestBlockCore:
         assert np.array_equal(after.estimates, reference.process_frame(next_frame).estimates)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow the floor rejects
-    @pytest.mark.parametrize("core, bad, message", [
-        ("process_blocks", np.nan, "samples must all be finite"),  # the span's transform fails
-        ("process_blocks", 1e308, "magnitudes must be finite"),  # sums overflow: the floor fails
-        ("magnitude_blocks", np.inf, "samples must all be finite"),
+    @pytest.mark.parametrize("core, bad, message, tracker", [
+        ("process_blocks", np.nan, "samples must all be finite", "median"),  # the transform fails
+        ("process_blocks", 1e308, "magnitudes must be finite", "median"),  # sums overflow: the floor fails
+        ("magnitude_blocks", np.inf, "samples must all be finite", "median"),
+        ("process_blocks", 1e308, "magnitudes must be finite", "ema"),
     ])
-    def test_error_in_a_middle_group_of_a_span_names_the_frame(self, core, bad, message):
+    def test_error_in_a_middle_group_of_a_span_names_the_frame(self, core, bad, message, tracker):
         """A span of several blocks is transformed in groups; a bad frame in a middle
-        group is still named, with every frame before it processed."""
-        config = config_for([3, 9], n=32, fast=2, slow=4)
+        group is still named, with every frame before it processed and yielded, bit for
+        bit as a clean run of those frames gives them."""
+        config = config_for([3, 9], n=32, fast=2, slow=4, tracker=tracker)
         frames = np.random.default_rng(5).normal(size=(40, 32))
         frames[22] *= bad
         with mock.patch.object(pipeline_module, "BLOCK_SAMPLES", 32 * 4):
             pipeline = Pipeline(config)  # blocks of 4 rows
         assert pipeline._span_rows >= 40  # one span of 10 blocks: frame 22 lies in the sixth
+        yielded = []
         with mock.patch.object(spectral, "BLOCK_SAMPLES", 32 * 4):  # transform groups of 4 rows
             with pytest.raises(ValueError, match=f"frame 22: {message}"):
-                list(getattr(pipeline, core)(frames))
+                for result in getattr(pipeline, core)(frames):
+                    yielded.append(result)
         assert pipeline.frames_processed == 22
+        clean = list(getattr(Pipeline(config), core)(frames[:22]))
+        if core == "magnitude_blocks":
+            assert np.array_equal(np.concatenate(yielded), np.concatenate(clean))
+            return
+        for name in ("frame_indices", "magnitudes", "estimates", "margins", "events"):
+            got = np.concatenate([getattr(b, name) for b in yielded])
+            assert np.array_equal(got, np.concatenate([getattr(b, name) for b in clean])), name
+        assert [r for b in yielded for r in b.records] == [r for b in clean for r in b.records]
+
+    @pytest.mark.parametrize("tracker", ["median", "ema"])
+    def test_floor_and_decision_run_once_per_span(self, tracker):
+        """The tracker updates once per span of several blocks, and blocks are still yielded."""
+        config = config_for([3, 9], n=32, fast=2, slow=4, tracker=tracker)
+        frames = noisy_stream(2, 150, n=32, bins=(3, 9))
+        with mock.patch.object(pipeline_module, "BLOCK_SAMPLES", 32 * 4):
+            pipeline = Pipeline(config)  # blocks of 4 rows, spans of 16 blocks
+        assert pipeline._span_rows == 64
+        floor = pipeline._tracker
+        with mock.patch.object(floor, "update_all", wraps=floor.update_all) as spy:
+            blocks = list(pipeline.process_blocks(frames))
+        assert [len(call.args[0]) for call in spy.call_args_list] == [64, 64, 22]
+        assert [len(b) for b in blocks] == [4] * 37 + [2]
+        assert np.concatenate([b.frame_indices for b in blocks]).tolist() == list(range(150))
 
     def test_magnitude_blocks_are_the_cores_magnitudes(self):
         """The magnitudes alone come in the same blocks, with the same values and errors."""

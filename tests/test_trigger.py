@@ -3,6 +3,7 @@
 import itertools
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +152,11 @@ class TestPayload:
     def test_infinite_strength_saturates(self):
         payload = encode_event(TriggerEvent(0, 0, math.inf))
         assert decode_event(payload).strength == 0xFFFF / 256
+
+    @pytest.mark.parametrize("strength", [1e306, sys.float_info.max])
+    def test_huge_finite_strength_saturates(self, strength):
+        """Strength * 256 overflows to inf here; the field saturates all the same."""
+        assert encode_event(TriggerEvent(0, 0, strength)) == 0xFFFF << 40
 
     @given(
         st.integers(min_value=0, max_value=MAX_FRAME_DELTA),
