@@ -34,9 +34,6 @@ from .envsim import (
 )
 from .evaluation import (
     ConfusionMatrix,
-    DerivedMetrics,
-    PhaseScore,
-    TrafficStats,
     amplification,
     derive_metrics,
     payload_comparison,

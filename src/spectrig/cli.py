@@ -20,7 +20,7 @@ from .baselines import (
     frame_rms,
 )
 from .envsim import GENERATOR_ID, ScenarioConfig, SyntheticStream, replica_scenario
-from .evaluation import build_metrics, payload_comparison
+from .evaluation import PHASE_COLUMNS, build_metrics, payload_comparison
 from .pipeline import Pipeline, PipelineConfig
 from .trigger import TriggerEvent, encode_event
 
@@ -80,19 +80,27 @@ def _rows_from_flags(frames_fired, bins, strengths):
 
 
 def _run_fixed(chunks, config: PipelineConfig, calib_frames: int, frame_count: int):
+    """Calibrate on the stream's first ``calib_frames`` magnitude rows, then threshold the
+    (non-empty) chunks in turn: past calibration, a chunk's magnitudes are dropped once read."""
     if calib_frames < 1 or calib_frames > frame_count:
         raise ValueError("--calib-frames must be within the frame stream")
-    pipeline, parts = Pipeline(config), []
+    pipeline, held, fixed = Pipeline(config), [], None
+    found, seen = [], 0
     for chunk in chunks:
-        parts += pipeline.magnitude_blocks(chunk)
+        held += pipeline.magnitude_blocks(chunk)
         del chunk  # released before the next chunk is read
-    mags = np.concatenate(parts)
-    fixed = calibrate_fixed_thresholds(mags[:calib_frames])
-    fired = np.flatnonzero(fixed_spectral_detector(mags, fixed))
-    thresholds = fixed.as_array()
-    pos = np.argmax(mags[fired] > thresholds, axis=1)  # first bin over its threshold
+        if fixed is None and sum(map(len, held)) < calib_frames:
+            continue
+        mags, held = np.concatenate(held), []
+        if fixed is None:
+            fixed = calibrate_fixed_thresholds(mags[:calib_frames])
+            thresholds = fixed.as_array()
+        rows = np.flatnonzero(fixed_spectral_detector(mags, fixed))
+        pos = np.argmax(mags[rows] > thresholds, axis=1)  # first bin over its threshold
+        found.append((rows + seen, pos, mags[rows, pos] / thresholds[pos]))
+        seen += len(mags)
+    fired, pos, strengths = map(np.concatenate, zip(*found))
     bins = np.asarray(config.bins.bins)[pos]
-    strengths = mags[fired, pos] / thresholds[pos]
     return _rows_from_flags(fired.tolist(), bins.tolist(), strengths.tolist())
 
 
@@ -103,12 +111,6 @@ def _run_decimated(chunks, decimation: DecimationConfig):
     return _rows_from_flags(fired, [0] * len(fired), [0.0] * len(fired))
 
 
-_PHASE_COLUMNS = (
-    "name", "start_frame", "end_frame", "true_events", "detected_events", "missed_events",
-    "false_positives",
-)
-
-
 def _score_into(out_dir, event_frames, truth, **layout) -> dict:
     """Score events against truth (``layout`` as build_metrics takes it) and write
     metrics.json, confusion.csv and per_phase.csv; out_dir is made once the metrics are built."""
@@ -117,7 +119,7 @@ def _score_into(out_dir, event_frames, truth, **layout) -> dict:
     io.dump_json(out_dir / "metrics.json", metrics)
     io.write_table(out_dir / "confusion.csv", ("tp", "fp", "fn", "tn"), [metrics["confusion"]])
     if "per_phase" in metrics:
-        io.write_table(out_dir / "per_phase.csv", _PHASE_COLUMNS, metrics["per_phase"])
+        io.write_table(out_dir / "per_phase.csv", PHASE_COLUMNS, metrics["per_phase"])
     return metrics
 
 

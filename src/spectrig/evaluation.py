@@ -10,7 +10,7 @@ confusion matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,41 +34,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
-
-
-@dataclass(frozen=True)
-class DerivedMetrics:
-    """Standard rates; a field is None when its denominator is zero."""
-
-    sensitivity: float | None
-    specificity: float | None
-    precision: float | None
-    accuracy: float | None
-    false_alarm_rate: float | None
-
-
-@dataclass(frozen=True)
-class PhaseScore:
-    name: str
-    start_frame: int
-    end_frame: int
-    true_events: int
-    detected_events: int
-    false_positives: int
-
-    @property
-    def missed_events(self) -> int:
-        return self.true_events - self.detected_events
-
-
-@dataclass(frozen=True)
-class TrafficStats:
-    frame_count: int
-    event_count: int
-    data_reduction: float
-    feature_stream_bits: int
-    trigger_stream_bits: int
-    reduction_factor: float
 
 
 def score(
@@ -121,15 +86,21 @@ def _ratio(numerator: int, denominator: int) -> float | None:
     return numerator / denominator if denominator > 0 else None
 
 
-def derive_metrics(cm: ConfusionMatrix) -> DerivedMetrics:
-    """Rates from a confusion matrix; undefined fields become None, never raise."""
-    return DerivedMetrics(
-        sensitivity=_ratio(cm.tp, cm.tp + cm.fn),
-        specificity=_ratio(cm.tn, cm.tn + cm.fp),
-        precision=_ratio(cm.tp, cm.tp + cm.fp),
-        accuracy=_ratio(cm.tp + cm.tn, cm.total),
-        false_alarm_rate=_ratio(cm.fp, cm.fp + cm.tn),
-    )
+def derive_metrics(cm: ConfusionMatrix) -> dict[str, float | None]:
+    """The metrics document's ``derived`` rates; a rate whose denominator is 0 is None."""
+    return {
+        "sensitivity": _ratio(cm.tp, cm.tp + cm.fn),
+        "specificity": _ratio(cm.tn, cm.tn + cm.fp),
+        "precision": _ratio(cm.tp, cm.tp + cm.fp),
+        "accuracy": _ratio(cm.tp + cm.tn, cm.total),
+        "false_alarm_rate": _ratio(cm.fp, cm.fp + cm.tn),
+    }
+
+
+PHASE_COLUMNS = (
+    "name", "start_frame", "end_frame", "true_events", "detected_events", "missed_events",
+    "false_positives",
+)
 
 
 def per_phase_scores(
@@ -137,25 +108,20 @@ def per_phase_scores(
     truth: GroundTruth,
     phase_bounds,
     warmup_frames: int = 0,
-) -> list[PhaseScore]:
-    """Split TP/FN (per interval, by start frame) and FP (per frame) by phase."""
+) -> list[dict]:
+    """The metrics document's ``per_phase`` rows, keyed by PHASE_COLUMNS: TP/FN split
+    per interval (by start frame) and FP per frame."""
     hits, stray = _match(event_frames, truth, warmup_frames, math.inf)
     detected = dict(zip(truth, hits))
 
-    scores = []
+    rows = []
     for name, start, end in phase_bounds:
         phase_intervals = [iv for iv in truth if start <= iv.start_frame < end]
-        scores.append(
-            PhaseScore(
-                name=name,
-                start_frame=start,
-                end_frame=end,
-                true_events=len(phase_intervals),
-                detected_events=sum(detected[iv] for iv in phase_intervals),
-                false_positives=int(((stray >= start) & (stray < end)).sum()),
-            )
-        )
-    return scores
+        found = sum(detected[iv] for iv in phase_intervals)
+        false_positives = int(((stray >= start) & (stray < end)).sum())
+        counts = (len(phase_intervals), found, len(phase_intervals) - found, false_positives)
+        rows.append(dict(zip(PHASE_COLUMNS, (name, start, end, *counts))))
+    return rows
 
 
 def traffic_stats(
@@ -164,22 +130,21 @@ def traffic_stats(
     monitored_bins: int,
     bits_per_feature: int,
     event_payload_bits: int = 64,
-) -> TrafficStats:
-    """Trigger-only transmission volume versus streaming every feature vector."""
+) -> dict[str, float]:
+    """The metrics document's ``traffic`` section: trigger-only transmission volume versus
+    streaming every feature vector. ``reduction_factor`` is inf when no event is sent."""
     if frame_count <= 0:
         raise ValueError("frame_count must be positive")
     if min(event_count, monitored_bins, bits_per_feature, event_payload_bits) < 0:
         raise ValueError("counts must be >= 0")
     feature_bits = frame_count * monitored_bins * bits_per_feature
     trigger_bits = event_count * event_payload_bits
-    return TrafficStats(
-        frame_count=frame_count,
-        event_count=event_count,
-        data_reduction=1.0 - event_count / frame_count,
-        feature_stream_bits=feature_bits,
-        trigger_stream_bits=trigger_bits,
-        reduction_factor=feature_bits / trigger_bits if trigger_bits > 0 else math.inf,
-    )
+    return {
+        "data_reduction": 1.0 - event_count / frame_count,
+        "feature_stream_bits": feature_bits,
+        "trigger_stream_bits": trigger_bits,
+        "reduction_factor": feature_bits / trigger_bits if trigger_bits > 0 else math.inf,
+    }
 
 
 def payload_comparison(
@@ -206,31 +171,28 @@ def amplification(mean_hops: float, false_alarm_rate: float, payload_bits: float
     return mean_hops * false_alarm_rate * payload_bits
 
 
-@dataclass(frozen=True)
-class ThresholdSummary:
-    """Where the adaptive threshold sat, overall and once settled per phase."""
-
-    minimum: float
-    maximum: float
-    settled_first_phase: float
-    settled_last_phase: float
-    adaptation_ratio: float
-
-
 def threshold_adaptation(
     threshold_series,
     phase_bounds,
     warmup_frames: int = 0,
     settle_fraction: float = 0.25,
-) -> ThresholdSummary:
-    """Summarize a per-frame threshold trace against the phase layout.
+) -> dict[str, float]:
+    """The metrics document's ``threshold`` section: a per-frame threshold trace
+    summarized against the phase layout.
 
     "Settled" means the median over the trailing ``settle_fraction`` of a
     phase, where the tracker has had the whole phase to converge.
+    ``adaptation_ratio`` is inf when the first phase settles at 0. A phase
+    with no frame after the warm-up is a ValueError naming it.
     """
     series = np.asarray(threshold_series, dtype=np.float64)
     if series.ndim != 1 or series.size == 0:
         raise ValueError("threshold series must be a non-empty 1-D sequence")
+    for name, start, end in phase_bounds:
+        if max(start, warmup_frames) >= end:
+            raise ValueError(
+                f"phase {name!r} [{start}, {end}) has no frame after the {warmup_frames}-frame warm-up"
+            )
 
     def settled(start: int, end: int) -> float:
         tail = max(start, end - max(1, int((end - start) * settle_fraction)))
@@ -241,13 +203,13 @@ def threshold_adaptation(
     first = settled(max(first_start, warmup_frames), first_end)
     last = settled(max(last_start, warmup_frames), last_end)
     scored = series[warmup_frames:]
-    return ThresholdSummary(
-        minimum=float(scored.min()),
-        maximum=float(scored.max()),
-        settled_first_phase=first,
-        settled_last_phase=last,
-        adaptation_ratio=last / first if first > 0 else math.inf,
-    )
+    return {
+        "min": float(scored.min()),
+        "max": float(scored.max()),
+        "settled_first_phase": first,
+        "settled_last_phase": last,
+        "adaptation_ratio": last / first if first > 0 else math.inf,
+    }
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -274,37 +236,23 @@ def build_metrics(
     transmitted = len({f for f in event_frames if f >= warmup_frames})
     document = {
         "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn, "total": cm.total},
-        "derived": asdict(derive_metrics(cm)),
+        "derived": derive_metrics(cm),
         "frames": {"total": total_frames, "warmup_excluded": warmup_frames},
         "events_transmitted": transmitted,
     }
     if monitored_bins is not None:
-        traffic = traffic_stats(
+        document["traffic"] = traffic = traffic_stats(
             total_frames, transmitted, monitored_bins, BITS_PER_FEATURE, PAYLOAD_BITS
         )
-        document["traffic"] = {
-            "data_reduction": traffic.data_reduction,
-            "feature_stream_bits": traffic.feature_stream_bits,
-            "trigger_stream_bits": traffic.trigger_stream_bits,
-            "reduction_factor": _finite_or_none(traffic.reduction_factor),
-        }
+        traffic["reduction_factor"] = _finite_or_none(traffic["reduction_factor"])
     if phase_bounds is not None:
-        phase_rows = per_phase_scores(event_frames, truth, phase_bounds, warmup_frames)
-        document["per_phase"] = [
-            {**asdict(p), "missed_events": p.missed_events} for p in phase_rows
-        ]
+        document["per_phase"] = per_phase_scores(event_frames, truth, phase_bounds, warmup_frames)
         if threshold_series is not None:
             series = np.asarray(threshold_series, dtype=np.float64)
             if series.shape != (total_frames,):
                 raise ValueError(f"threshold series of shape {series.shape}, expected ({total_frames},)")
-            summary = threshold_adaptation(series, phase_bounds, warmup_frames)
-            document["threshold"] = {
-                "min": summary.minimum,
-                "max": summary.maximum,
-                "settled_first_phase": summary.settled_first_phase,
-                "settled_last_phase": summary.settled_last_phase,
-                "adaptation_ratio": _finite_or_none(summary.adaptation_ratio),
-            }
+            document["threshold"] = summary = threshold_adaptation(series, phase_bounds, warmup_frames)
+            summary["adaptation_ratio"] = _finite_or_none(summary["adaptation_ratio"])
             for entry, (_, start, end) in zip(document["per_phase"], phase_bounds):
                 window = series[max(start, warmup_frames) : end]
                 entry["threshold_min"] = float(window.min())

@@ -3,6 +3,7 @@
 import csv
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -599,6 +600,46 @@ class TestErrors:
         stderr = capsys.readouterr().err
         assert stderr.startswith("error:") and expected in stderr
         assert case == "short-series" or str(series) in stderr
+        assert not out.exists()
+
+    def test_eval_series_with_a_phase_inside_the_warmup(self, tmp_path, capsys):
+        """A phase wholly inside the warm-up has no threshold to summarize: an error line
+        naming it before any reduction, so no numpy warning and no out-dir."""
+        bins = [3, 9]
+        io.dump_json(tmp_path / "scenario.json", {
+            "seed": 1, "frame_size": 64, "sample_rate_hz": 1000.0, "bins": bins,
+            "warmup_frames": 120,
+            "phases": [
+                {"name": "a", "frames": 100, "events": 0, "level": 1.0},
+                {"name": "b", "frames": 300, "events": 3, "level": 1.0},
+            ],
+            "events": {"target_bins": bins, "amplitude_ratio": 6.0, "min_gap_frames": 2},
+        })
+        io.dump_json(tmp_path / "pipeline.json", {
+            "frame_size": 64, "sample_rate_hz": 1000.0, "bins": bins, "warmup_frames": 120,
+        })
+        assert main([
+            "generate", "--config", str(tmp_path / "scenario.json"), "--out-dir", str(tmp_path / "gen"),
+        ]) == 0
+        assert main([
+            "detect", "--frames", str(tmp_path / "gen" / "frames.bin"),
+            "--config", str(tmp_path / "pipeline.json"), "--out-dir", str(tmp_path / "det"),
+        ]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([
+                "eval",
+                "--events", str(tmp_path / "det" / "events.csv"),
+                "--truth", str(tmp_path / "gen" / "truth.csv"),
+                "--scenario", str(tmp_path / "scenario.json"),
+                "--series", str(tmp_path / "det" / "series.csv"),
+                "--out-dir", str(out),
+            ]) == 2
+        assert capsys.readouterr().err == (
+            "error: phase 'a' [0, 100) has no frame after the 120-frame warm-up\n"
+        )
         assert not out.exists()
 
     def test_unknown_detector_rejected_by_parser(self, replica_dir, tmp_path):

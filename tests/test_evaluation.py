@@ -1,5 +1,6 @@
 """Scoring conventions, derived rates, and traffic arithmetic."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from spectrig.envsim import EventInterval, GroundTruth
 from spectrig.evaluation import (
     ConfusionMatrix,
     amplification,
+    build_metrics,
     derive_metrics,
     payload_comparison,
     per_phase_scores,
@@ -42,11 +44,11 @@ class TestScore:
         cm = score(detected, truth, total_frames=6784, warmup_frames=0)
         assert (cm.tp, cm.fp, cm.fn, cm.tn) == (134, 0, 5, 6645)
         metrics = derive_metrics(cm)
-        assert metrics.sensitivity == pytest.approx(0.964, abs=5e-4)
-        assert metrics.specificity == 1.0
-        assert metrics.precision == 1.0
-        assert metrics.accuracy == pytest.approx(0.999, abs=5e-4)
-        assert metrics.false_alarm_rate == 0.0
+        assert metrics["sensitivity"] == pytest.approx(0.964, abs=5e-4)
+        assert metrics["specificity"] == 1.0
+        assert metrics["precision"] == 1.0
+        assert metrics["accuracy"] == pytest.approx(0.999, abs=5e-4)
+        assert metrics["false_alarm_rate"] == 0.0
 
     def test_null_detector(self):
         truth = one_frame_truth([10, 20, 30])
@@ -120,11 +122,11 @@ class TestScore:
 class TestDerivedMetrics:
     def test_all_zero_matrix_undefined(self):
         metrics = derive_metrics(ConfusionMatrix(0, 0, 0, 0))
-        assert metrics.sensitivity is None
-        assert metrics.specificity is None
-        assert metrics.precision is None
-        assert metrics.accuracy is None
-        assert metrics.false_alarm_rate is None
+        assert metrics["sensitivity"] is None
+        assert metrics["specificity"] is None
+        assert metrics["precision"] is None
+        assert metrics["accuracy"] is None
+        assert metrics["false_alarm_rate"] is None
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -138,31 +140,31 @@ class TestPerPhase:
         bounds = [("a", 0, 100), ("b", 100, 200)]
         phases = per_phase_scores(fired, truth, bounds, warmup_frames=10)
         cm = score(fired, truth, total_frames=200, warmup_frames=10)
-        assert sum(p.detected_events for p in phases) == cm.tp
-        assert sum(p.missed_events for p in phases) == cm.fn
-        assert sum(p.false_positives for p in phases) == cm.fp
-        assert phases[0].true_events == 2
-        assert phases[1].true_events == 2
-        assert phases[0].false_positives == 1
+        assert sum(p["detected_events"] for p in phases) == cm.tp
+        assert sum(p["missed_events"] for p in phases) == cm.fn
+        assert sum(p["false_positives"] for p in phases) == cm.fp
+        assert phases[0]["true_events"] == 2
+        assert phases[1]["true_events"] == 2
+        assert phases[0]["false_positives"] == 1
 
 
 class TestTraffic:
     def test_benchmark_reduction(self):
         stats = traffic_stats(6784, 134, monitored_bins=16, bits_per_feature=16)
-        assert stats.data_reduction == 1 - 134 / 6784
-        assert stats.data_reduction == pytest.approx(0.980, abs=5e-4)
+        assert stats["data_reduction"] == 1 - 134 / 6784
+        assert stats["data_reduction"] == pytest.approx(0.980, abs=5e-4)
 
     def test_feature_vs_trigger_volume(self):
         stats = traffic_stats(6784, 134, monitored_bins=16, bits_per_feature=16)
-        assert stats.feature_stream_bits == 6784 * 16 * 16 == 1_736_704
-        assert stats.trigger_stream_bits == 134 * 64 == 8_576
-        assert stats.reduction_factor > 200
+        assert stats["feature_stream_bits"] == 6784 * 16 * 16 == 1_736_704
+        assert stats["trigger_stream_bits"] == 134 * 64 == 8_576
+        assert stats["reduction_factor"] > 200
 
     def test_zero_events(self):
         stats = traffic_stats(1000, 0, monitored_bins=4, bits_per_feature=16)
-        assert stats.data_reduction == 1.0
-        assert stats.trigger_stream_bits == 0
-        assert math.isinf(stats.reduction_factor)
+        assert stats["data_reduction"] == 1.0
+        assert stats["trigger_stream_bits"] == 0
+        assert math.isinf(stats["reduction_factor"])
 
     def test_zero_frames_rejected(self):
         with pytest.raises(ValueError):
@@ -171,7 +173,7 @@ class TestTraffic:
     def test_factor_consistent_with_reduction_when_payloads_match(self):
         # 4 bins x 16 bits per feature == the 64-bit trigger payload
         stats = traffic_stats(500, 25, monitored_bins=4, bits_per_feature=16)
-        assert stats.reduction_factor == pytest.approx(1 / (1 - stats.data_reduction))
+        assert stats["reduction_factor"] == pytest.approx(1 / (1 - stats["data_reduction"]))
 
     def test_payload_comparison_table(self):
         table = payload_comparison(
@@ -209,12 +211,43 @@ class TestThresholdAdaptation:
         series = np.concatenate([np.full(100, 10.0), np.linspace(10, 50, 50), np.full(100, 50.0)])
         bounds = [("low", 0, 100), ("ramp", 100, 150), ("high", 150, 250)]
         summary = threshold_adaptation(series, bounds, warmup_frames=10)
-        assert summary.settled_first_phase == 10.0
-        assert summary.settled_last_phase == 50.0
-        assert summary.adaptation_ratio == 5.0
-        assert summary.minimum == 10.0
-        assert summary.maximum == 50.0
+        assert summary["settled_first_phase"] == 10.0
+        assert summary["settled_last_phase"] == 50.0
+        assert summary["adaptation_ratio"] == 5.0
+        assert summary["min"] == 10.0
+        assert summary["max"] == 50.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             threshold_adaptation([], [("a", 0, 0)])
+
+    def test_rejects_a_phase_inside_the_warmup(self):
+        bounds = [("a", 0, 100), ("b", 100, 400)]
+        with pytest.raises(ValueError, match="phase 'a' \\[0, 100\\) has no frame after"):
+            threshold_adaptation(np.ones(400), bounds, warmup_frames=120)
+
+
+class TestMetricsDocument:
+    """Infinite ratios are written as null, so the document is strict JSON."""
+
+    BOUNDS = [("a", 0, 50), ("b", 50, 100)]
+
+    def document(self, events, threshold_series):
+        return build_metrics(
+            events, one_frame_truth([30, 60]), total_frames=100, warmup_frames=10,
+            phase_bounds=self.BOUNDS, threshold_series=threshold_series, monitored_bins=4,
+        )
+
+    def test_no_transmitted_event(self):
+        document = self.document([5], np.full(100, 2.0))  # frame 5 is in the warm-up
+        assert document["traffic"]["reduction_factor"] is None
+        assert document["traffic"]["data_reduction"] == 1.0
+        assert document["threshold"]["adaptation_ratio"] == 1.0
+        json.dumps(document, allow_nan=False)
+
+    def test_first_phase_settles_at_zero(self):
+        document = self.document([30, 60], np.repeat([0.0, 3.0], 50))
+        assert document["threshold"]["settled_first_phase"] == 0.0
+        assert document["threshold"]["adaptation_ratio"] is None
+        assert document["traffic"]["reduction_factor"] == 100 * 4 * 16 / (2 * 64)
+        json.dumps(document, allow_nan=False)

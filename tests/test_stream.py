@@ -126,6 +126,21 @@ def wide_runs(tmp_path_factory):
 DETECT_ARGS = {**DETECTORS, "fixed": ["--detector", "fixed", "--calib-frames", "500"]}
 
 
+@pytest.fixture(scope="module")
+def dense_streams(tmp_path_factory):
+    """Noise containers of 1,024 and 4,096 frames of 512 samples, and a 200-bin pipeline."""
+    work = tmp_path_factory.mktemp("dense")
+    io.dump_json(work / "pipeline.json", {
+        "frame_size": 512, "sample_rate_hz": 16000.0, "bins": list(range(20, 220)),
+    })
+    rng = np.random.default_rng(11)
+    for frames in (1024, 4096):
+        with io.FrameWriter(work / f"frames{frames}.bin", 512, 16000.0, frames) as writer:
+            for _ in range(frames // 512):
+                io.write_frames(writer, rng.normal(size=(512, 512)))
+    return work
+
+
 class TestBoundedHeap:
     """Quadrupling the frame count leaves the heap peak within 10 %: no (T, N) array is held."""
 
@@ -182,6 +197,22 @@ class TestBoundedHeap:
         ]
         heap_peak(argv)  # warm-up: plans and caches of this frame size
         assert heap_peak(argv) < 1.5 * spectral.CHUNK_SAMPLES * 8
+
+    def test_fixed_detect_on_many_bins(self, dense_streams):
+        """Past its calibration stretch the fixed detector keeps each chunk's firing frames,
+        bins and strengths, not the stream's (frames, bins) magnitudes: on 200 bins of noise,
+        where most frames fire, four times the frames leave the heap peak within 10 %."""
+        def detect(frames):
+            return heap_peak([
+                "detect", "--frames", str(dense_streams / f"frames{frames}.bin"),
+                "--config", str(dense_streams / "pipeline.json"), *DETECT_ARGS["fixed"],
+                "--out-dir", str(dense_streams / f"fixed{frames}"),
+            ])
+
+        detect(1024)  # warm-up: plans and caches of this frame size
+        small, large = detect(1024), detect(4096)
+        assert len(io.read_events(dense_streams / "fixed4096" / "events.csv")) > 4096 // 2
+        assert large <= 1.1 * small
 
 
 class TestBadFrameMidStream:
