@@ -202,12 +202,18 @@ class EventRow:
     payload: int
 
 
-def _write_csv(path, header, rows, lineterminator="\r\n") -> None:
-    """A UTF-8 CSV file: the header line, then one line per row of ``rows`` (any iterable)."""
+def _write_csv(path, header, rows, lineterminator="\r\n", row_format=None) -> None:
+    """A UTF-8 CSV file: the header line, then one line per row of ``rows`` (any iterable).
+    With ``row_format``, a %-format for rows of numbers, which need no quoting, each line
+    is ``row_format % row``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(header)
-        writer.writerows(rows)
+        if row_format is None:
+            writer.writerows(rows)
+        else:
+            line = row_format + lineterminator
+            fh.writelines(line % row for row in rows)
 
 
 def _read_csv(path, decode, header=None) -> tuple[list[str], list]:
@@ -275,9 +281,9 @@ def write_series(path, columns: dict[str, np.ndarray]) -> None:
     integer = [np.issubdtype(a.dtype, np.integer) for a in arrays]
     slices = ([a[s : s + _SERIES_ROWS] for a in arrays] for s in range(0, len(arrays[0]), _SERIES_ROWS))
     _write_csv(path, names, chain.from_iterable(zip(*(
-        r.tolist() if is_int else map(repr, r.astype(np.float64, copy=False).tolist())
+        r.tolist() if is_int else r.astype(np.float64, copy=False).tolist()
         for r, is_int in zip(rows, integer)
-    )) for rows in slices))
+    )) for rows in slices), row_format=",".join("%d" if is_int else "%r" for is_int in integer))
 
 
 def read_series(path) -> dict[str, np.ndarray]:

@@ -122,6 +122,16 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     return rev
 
 
+def _full_layout(size: int, stages: int) -> np.ndarray:
+    """For each position g * m + k of the in-place transform after ``stages`` full stages
+    (m = 2**stages; group g holds residue bitrev(g)), where FftPlan._first leaves that value;
+    with no stage, the input bit reversal."""
+    m, groups = 1 << stages, size >> stages
+    g, k = np.divmod(np.arange(size), m)
+    r = _bit_reverse_indices(groups)[g]
+    return k * groups + r if groups > m // 2 else r * m + k
+
+
 def _pruned_outputs(size: int, bins: tuple[int, ...]) -> list[int]:
     """The last stage's outputs: ``bins`` in order, then spares so that every pruned
     stage multiplies at least 3 values per row.
@@ -145,7 +155,7 @@ def _pruned_outputs(size: int, bins: tuple[int, ...]) -> list[int]:
 class FftPlan:
     """Iterative radix-2 decimation-in-time transform for one frame size.
 
-    Bit-reversal indices and per-stage twiddle factors are computed once at
+    Per-stage twiddle factors and gather indices are computed once at
     construction, so repeated calls do no trigonometry. The transform is the
     plain unscaled forward DFT: X[k] = sum_n x[n] * exp(-2j*pi*k*n/N).
 
@@ -154,9 +164,10 @@ class FftPlan:
     every group, the outputs S_m = {b mod m}. Stages that need more than half
     of their outputs (the first ones need all) run as in the full transform;
     each later stage gathers its even and odd inputs at precomputed flat
-    indices, multiplies the odd ones by a precomputed +-twiddle vector and
-    adds. Twiddles and operations are the full transform's, so every value
-    kept carries the same bits.
+    indices (the first gather through the full stages' layout), multiplies the
+    odd ones by a precomputed +-twiddle vector and adds. Twiddles and
+    operations are the full transform's, so every value kept carries the same
+    bits.
     """
 
     def __init__(self, size: int, bins=None):
@@ -166,7 +177,6 @@ class FftPlan:
         self.bins = None if bins is None else bin_indices(bins)
         if bins is not None and (not self.bins or min(self.bins) < 0 or max(self.bins) >= size):
             raise ValueError(f"bins must be 1 or more indices in [0, {size}), got {self.bins}")
-        self._reorder = _bit_reverse_indices(size)
         self._twiddles = []  # full stages
         self._pruned = []  # per pruned stage: (even then odd input indices, +-twiddles)
         outputs = None if self.bins is None else _pruned_outputs(size, self.bins)
@@ -181,15 +191,15 @@ class FftPlan:
             # Gathering more than a row would cost more than the butterflies it saves.
             # groups * len(needed) never grows with m, so the full stages come first.
             if needed is None or (m < size and 2 * groups * len(needed) > size):
-                self._twiddles.append(w)
+                self._twiddles.append(w[:, None])
             else:
                 kept = range(half) if held is None else held  # the previous stage's, per group
                 at = {j: i for i, j in enumerate(kept)}
                 even = (2 * len(kept) * np.arange(groups))[:, None] + [at[j % half] for j in needed]
                 twiddles = [w[j % half] if j % m < half else -w[j % half] for j in needed]
                 index = np.concatenate([even.ravel(), even.ravel() + len(kept)])
-                if held is None and not self._twiddles:  # the first gather reverses the bits
-                    index = self._reorder[index]
+                if held is None:  # the first gather reads the full stages' layout
+                    index = _full_layout(size, len(self._twiddles))[index]
                 self._pruned.append((index, np.tile(twiddles, groups)))
                 held = needed
             m *= 2
@@ -223,20 +233,29 @@ class FftPlan:
 
     def _first(self, rows: np.ndarray) -> np.ndarray:
         """The rows, checked, through the full stages; with none, the real samples, which the
-        first gather takes at bit-reversed indices and numpy multiplies and adds as x + 0j."""
+        first gather takes at bit-reversed indices and numpy multiplies and adds as x + 0j.
+
+        The full stages are self-sorting (Stockham): after stage m, x[:, k, r] is value k of
+        the m-point DFT of samples r, r + N/m, ...; stage m takes residues r and r + N/m as
+        its upper and lower halves, with the in-place transform's values, twiddles and
+        operations, so every value keeps its bits. A stage's output is stored residues
+        innermost while they outnumber its half, then positions innermost (_full_layout)."""
         if not np.isfinite(rows).all():
             raise ValueError("samples must all be finite")
         if not self._twiddles:
             return rows
-        x = np.take(rows, self._reorder, axis=1).astype(np.complex128)
+        x = rows.astype(np.complex128)[:, None, :]
         for w in self._twiddles:
-            half = w.size
-            x = x.reshape(-1, 2 * half)
-            upper = x[:, :half].copy()
-            lower = x[:, half:] * w
-            x[:, :half] = upper + lower
-            x[:, half:] = upper - lower
-        return x.reshape(-1, self.size)
+            half, groups = len(w), self.size // (2 * len(w))
+            upper, lower = x[:, :, :groups], x[:, :, groups:] * w
+            if groups > half:
+                x = store = np.empty((len(rows), 2 * half, groups), np.complex128)
+            else:
+                store = np.empty((len(rows), groups, 2 * half), np.complex128)
+                x = store.transpose(0, 2, 1)
+            np.add(upper, lower, x[:, :half])
+            np.subtract(upper, lower, x[:, half:])
+        return store.reshape(-1, self.size)
 
     def _butterflies(self, x: np.ndarray, stages) -> np.ndarray:
         """Pruned ``stages`` on the rows of ``x``: each gathers its pairs, then even + odd * w."""

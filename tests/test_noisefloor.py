@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spectrig import noisefloor
-from spectrig.noisefloor import EmaTracker, MedianBuffer, NoiseFloorState
+from spectrig.noisefloor import EmaTracker, MedianBuffer, MedianWindows, NoiseFloorState
 
 from oracles import cascade_reference, ema_reference, sorted_median
 
@@ -327,6 +327,35 @@ class TestBlockCascade:
         clean = NoiseFloorState([1, 2, 3, 4, 5], fast_window=3, slow_window=8)
         clean.update_all(streams[:20])
         assert np.array_equal(state.update_all(streams[20:]), clean.update_all(streams[20:]))
+
+
+class TestMedianOfThree:
+    """Window 3 selects with the min/max network max(min(a, b), min(max(a, b), c)), not
+    np.partition: the same order statistic, which may differ only in the sign of a zero."""
+
+    @given(arrays(np.float64, (2, 30), elements=st.sampled_from(
+        [-np.inf, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf]) | finite_floats))
+    @settings(max_examples=150, deadline=None)
+    def test_same_value_as_the_partition(self, block):
+        windows = MedianWindows(3, rows=2)
+        medians = np.concatenate([windows.push(block[:, :7]), windows.push(block[:, 7:])], axis=1)
+        start = np.broadcast_to([np.inf, -np.inf, np.inf], (2, 3))
+        history = np.lib.stride_tricks.sliding_window_view(np.hstack([start, block]), 3, axis=1)
+        expected = np.partition(history[:, 1:], 1, axis=2)[:, :, 1]
+        assert np.array_equal(medians, expected)
+        differs = medians.view(np.uint64) != expected.view(np.uint64)
+        assert (medians[differs] == 0.0).all()
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_signed_zero(self, position):
+        """Of 0.0, 0.0 and -0.0 the median is -0.0 only when -0.0 came last (np.partition gives
+        it when it sits in the middle). Magnitudes come from np.abs, which never gives -0.0,
+        so no artifact carries one."""
+        window = [0.0, 0.0, 0.0]
+        window[position] = -0.0
+        median = MedianWindows(3).push([window])[0, -1]
+        assert median == 0.0 and bool(np.signbit(median)) == (position == 2)
+        assert not np.signbit(np.abs(np.complex128(complex(-0.0, -0.0))))
 
 
 class TestEmaTracker:

@@ -194,6 +194,21 @@ class TestBlocks:
             plan(bad)
 
 
+def signed_zero_samples(seed, rows, n) -> np.ndarray:
+    """Gaussian samples (scale 100) of which about a quarter are +0.0 and a quarter -0.0."""
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(rows, n)) * 100.0
+    zeros = rng.integers(0, 4, size=samples.shape)
+    samples[zeros == 0] = 0.0
+    samples[zeros == 1] = -0.0
+    return samples
+
+
+def bits(values) -> list:
+    """Every float's bit pattern, so that signed zeros count."""
+    return np.ascontiguousarray(values).view(np.uint64).tolist()
+
+
 @st.composite
 def pruned_cases(draw):
     """A frame size 8...2048, 1 to min(N/2 + 1, 256) sorted bins in 0...N/2, and 1-8 rows."""
@@ -268,6 +283,31 @@ class TestPrunedPlan:
         samples = np.random.default_rng(n + 3).normal(size=(3, n)) * 100.0
         assert FftPlan(n)(samples).tobytes() == radix2_reference(samples).tobytes()
         assert FftPlan(n)(samples[0]).tobytes() == radix2_reference(samples[0]).tobytes()
+
+    @pytest.mark.parametrize("n", [2**k for k in range(1, 13)])
+    def test_self_sorting_stages_bit_equal_to_reference(self, n):
+        """The self-sorting stages give every value the bits of the in-place transform on
+        bit-reversed input, signed zeros included, for a block of any row count and one row."""
+        plan = FftPlan(n)
+        for rows in (1, 2, 3, 17):
+            samples = signed_zero_samples(n * 7 + rows, rows, n)
+            assert bits(plan(samples)) == bits(radix2_reference(samples)), rows
+        assert bits(plan(samples[0])) == bits(radix2_reference(samples[0]))
+
+    @pytest.mark.parametrize("full", range(1, 9))
+    def test_full_stages_then_pruned(self, full):
+        """2**full consecutive bins keep stages 2 ... 2**full full; the first gather reads
+        their layout: the plan carries the full plan's bits at its bins, and each row its
+        own one-row call's. At N = 512, stage 32 has as many groups as its half, so the
+        last full stage falls on each side of the layout switch."""
+        bins = tuple(range(3, 3 + 2**full))
+        plan = FftPlan(512, bins)
+        assert len(plan._twiddles) == full and plan._pruned
+        samples = signed_zero_samples(full, 5, 512)
+        out = plan(samples)
+        assert bits(out) == bits(FftPlan(512)(samples)[:, list(bins)])
+        for row, values in zip(samples, out):
+            assert bits(plan(row)) == bits(values)
 
     @pytest.mark.parametrize("n, bins", [(64, (9, 2, 31)), (8, (7, 6, 5, 4, 3)), (16, (3, 3, 12))])
     def test_any_bins_in_their_order(self, n, bins):
