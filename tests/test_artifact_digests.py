@@ -6,8 +6,10 @@ have one digest each. series.csv, events.csv, metrics.json and report.json
 hold complex-multiply and abs results whose last bits differ between the two
 paths, so each has a set of accepted digests, one per float path; the same
 holds for a short dense_bins-shaped run (N = 512, bins 56-255), whose
-transform runs 8 full stages. A digest changes only with an intended byte
-change, named with its cause.
+transform runs 8 full stages, and for a short wide_frames-shaped run
+(N = 2048, bins 37-241, every stage pruned) through each detector, whose
+generation crosses the 128-frame chunk edge. A digest changes only with an
+intended byte change, named with its cause.
 """
 
 import hashlib
@@ -156,3 +158,111 @@ def test_dense_bins_float_path_dependent_bytes(tmp_path):
                "metrics.json": sha256(ev / "metrics.json")}
     for name, accepted in DENSE_FLOAT_SHA256.items():
         assert digests[name] in accepted, name
+
+
+WIDE_BINS = [37, 101, 173, 241]
+WIDE_SCENARIO = {
+    "seed": 3,
+    "frame_size": 2048,
+    "sample_rate_hz": 16000.0,
+    "bins": WIDE_BINS,
+    "warmup_frames": 67,
+    "magnitude_jitter": 0.1,
+    "phases": [
+        {"name": "low_noise", "frames": 124, "events": 4, "level": 40.0},
+        {"name": "transition", "frames": 88, "events": 1, "ramp": {"start": 40.0, "end": 200.0}},
+        {"name": "high_noise", "frames": 88, "events": 3, "level": 200.0},
+    ],
+    "events": {"target_bins": WIDE_BINS, "amplitude_ratio": 6.0, "duration_frames": 1, "min_gap_frames": 2},
+}
+WIDE_PIPELINE = {
+    "frame_size": 2048,
+    "sample_rate_hz": 16000.0,
+    "bins": WIDE_BINS,
+    "fast_window": 3,
+    "slow_window": 64,
+    "threshold": 1.5,
+    "warmup_frames": 67,
+}
+WIDE_DETECTORS = {
+    "proposed": ["--detector", "proposed"],
+    "fixed": ["--detector", "fixed", "--calib-frames", "100"],
+    "decimated": ["--detector", "decimated"],
+}
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """generate, then detect and eval with each detector, of a 300-frame wide_frames-shaped
+    run (N = 2048, so 128-frame chunks); {relative path: sha256} of every file written."""
+    work = tmp_path_factory.mktemp("wide")
+    (work / "scenario.json").write_text(json.dumps(WIDE_SCENARIO))
+    (work / "pipeline.json").write_text(json.dumps(WIDE_PIPELINE))
+    gen = work / "gen"
+    assert main(["generate", "--config", str(work / "scenario.json"), "--out-dir", str(gen)]) == 0
+    for name, args in WIDE_DETECTORS.items():
+        det, ev = work / name, work / f"{name}_eval"
+        assert main([
+            "detect", "--frames", str(gen / "frames.bin"), "--config", str(work / "pipeline.json"),
+            *args, "--out-dir", str(det),
+        ]) == 0
+        series = ["--series", str(det / "series.csv")] if name == "proposed" else []
+        assert main([
+            "eval", "--events", str(det / "events.csv"), "--truth", str(gen / "truth.csv"),
+            "--scenario", str(gen / "scenario.json"), *series, "--out-dir", str(ev),
+        ]) == 0
+    return {str(path.relative_to(work)): sha256(path) for path in work.glob("*/*")}
+
+
+
+# Files whose bytes are the same on both float paths: one digest each.
+WIDE_SHA256 = {
+    "gen/frames.bin": "bba3fbb583ae9966909c2ca245cbaba889d8116593c98d69fe581de2ebdfabf1",
+    "gen/truth.csv": "e28918c3577f8e412894949f03066f849dab630163f8d854eb60bc771cabb1f0",
+    "gen/scenario.json": "355c13a3b223add5a6ff9a107d5f3771fad15769b0c79c2d20569ee04fc2cf12",
+    "proposed/pipeline.json": "ef79e15b6f2e0458f11b231660657bec8d74babf9a67caaf86913f6ddb64454c",
+    "proposed_eval/confusion.csv": "163f0bb9e7c2fa9cbbdabe2fb779f1b0b6a9b8c4e4e35d9477a71330b21ffa77",
+    "proposed_eval/per_phase.csv": "9b79ad58cdfb23ae5a614c38a56b6360cc234bc5cdb0e48c0d714a5ad0988314",
+    "fixed/pipeline.json": "ef79e15b6f2e0458f11b231660657bec8d74babf9a67caaf86913f6ddb64454c",
+    "fixed_eval/confusion.csv": "b9d2491a95b5cfcb20f8f407b2256f5a5c3ac4d3086250f85fa3499b22df8181",
+    "fixed_eval/per_phase.csv": "eabbe1630857148e52be0fb18f435faa74f0cfca898fae7cade1e3c2dfa1a5c2",
+    "fixed_eval/metrics.json": "ada18552e77739008c3239f7c1b897cbc984b1741c7b9be137e6f9d1470a3675",
+    "decimated/events.csv": "d77c01ff3ef9c750d9f389cae0f43f6eb07d7e1af79a6e1854b925848ea681e3",
+    "decimated/pipeline.json": "ef79e15b6f2e0458f11b231660657bec8d74babf9a67caaf86913f6ddb64454c",
+    "decimated_eval/confusion.csv": "9354f9dd322f4e19fa4183200b436d081629c982970faad123b422bf3e7f3339",
+    "decimated_eval/per_phase.csv": "5b13d11f319e52bc9e3fd1891f0305889c02165c507251d715994df3454052a2",
+    "decimated_eval/metrics.json": "4512076c501a163682b6894734946f0662c223bc366c9cb1d34f9dfd3ed0faaa",
+}
+
+# Per float-path-dependent file, its accepted digests: numpy's default path, the baseline loops.
+WIDE_FLOAT_SHA256 = {
+    "proposed/series.csv": {
+        "fa672cd82195a208e709b3111d6c394bb036171d8a12c74215fd3ee641ebc9d4",
+        "5277c69c93cd6958a25bc97318bb5be6b0b8eecb76fae95273fb0cbab7a1a90e",
+    },
+    "proposed/events.csv": {
+        "9ead2a43aaf0f6c2858f0d343b456d3f24da92099143586705e0be96766b4217",
+        "a64064cea8d32e3e525be2416cd2090b113f6c05fbd09d405b3923ebb9e9c581",
+    },
+    "proposed_eval/metrics.json": {
+        "972d0899a0aef2cfbeb84c90dd7ab08cc3fac96e388116060b47aa9a82929730",
+        "44be438cfdc429206e451a85672d2aeef66ac4c33047f018e73d8a83c0af65c4",
+    },
+    "fixed/events.csv": {
+        "ba2285b1e105a7a5b40d74c0431733463e49edddd09b66821996428522382261",
+        "53ba00bebc715d28319ad30f952316b08877384dc8501017af4ac06acaa09e49",
+    },
+}
+
+
+def test_wide_frames_every_file_is_pinned(wide):
+    assert sorted(wide) == sorted([*WIDE_SHA256, *WIDE_FLOAT_SHA256])
+
+
+def test_wide_frames_float_path_independent_bytes(wide):
+    assert {name: wide[name] for name in WIDE_SHA256} == WIDE_SHA256
+
+
+def test_wide_frames_float_path_dependent_bytes(wide):
+    for name, accepted in WIDE_FLOAT_SHA256.items():
+        assert wide[name] in accepted, name
