@@ -11,6 +11,7 @@ what makes multiplicative triggering against a tracked floor well-posed.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from bisect import bisect_right
@@ -19,12 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import BinSet, bin_indices, check_frame_format, chunk_rows
+from .spectral import BLOCK_SAMPLES, BinSet, bin_indices, check_frame_format, chunk_rows
 
-GENERATOR_ID = "numpy:PCG64"
+# Version 2: each noise phase is a table entry (see phase_factors). Version 1 took
+# exp(2j * pi * u) itself; its frames.bin files are not reproduced.
+GENERATOR_ID = "v2:numpy:PCG64:phase-table-2^16"
 
-# The fewest samples a synthesis range gets: handing a range to a thread costs
-# about 30 us, and 2**15 samples take about 280 us to synthesize.
+# Entries of the noise phase table: phases fall on a grid of 2 pi / 2**16, about 1e-4 rad.
+PHASE_STEPS = 1 << 16
+
+# The fewest samples a synthesis range gets: a pool thread costs about 50 us, and
+# 2**15 samples take about 140 us to synthesize. Split in two, 2**16 samples break
+# even (280 against 290 us) and a 2**18-sample chunk takes 660 against 1,070 us.
 RANGE_MIN_SAMPLES = 1 << 15
 
 
@@ -40,6 +47,23 @@ def synthesis_ranges(rows: int, frame_size: int) -> list[int]:
     usable CPU, but none under RANGE_MIN_SAMPLES samples or one row, so one at least."""
     count = max(1, min(usable_cpus(), rows, rows * frame_size // RANGE_MIN_SAMPLES))
     return [rows * i // count for i in range(count + 1)]
+
+
+@functools.cache
+def phase_table() -> np.ndarray:
+    """exp(2j * pi * k / PHASE_STEPS) for k = 0 .. PHASE_STEPS - 1, read-only; built on
+    first use (about 1 ms, 1 MiB), not at import."""
+    table = np.exp(2j * np.pi * np.arange(PHASE_STEPS) / PHASE_STEPS)
+    table.flags.writeable = False
+    return table
+
+
+def phase_factors(draws: np.ndarray) -> np.ndarray:
+    """The noise phase factor of each uniform draw u in [0, 1): the table entry at
+    k = floor(u * PHASE_STEPS), whose angle lies within 2 pi / PHASE_STEPS below 2 pi u.
+    (The direct digital synthesizer's sine table: Tierney, Rader and Gold, 1971.)"""
+    # u * 2**16 is exact and not negative, so the cast truncates it to its floor.
+    return phase_table()[(draws * PHASE_STEPS).astype(np.intp)]
 
 
 @dataclass(frozen=True)
@@ -273,6 +297,8 @@ class SyntheticStream:
         # Not imported with spectrig (2 ms). The pool starts a thread per submit: none for one range
         from concurrent.futures import ThreadPoolExecutor
 
+        phase_table()  # built here, in the calling thread, before any helper reads it
+
         with ThreadPoolExecutor(max_workers=len(args) - 1 or 1) as pool:
             helpers = [pool.submit(self._synthesize_range, *range_args) for range_args in args[1:]]
             self._synthesize_range(*args[0])
@@ -281,16 +307,15 @@ class SyntheticStream:
 
     def _synthesize_range(self, start, phases, magnitude, half_spectrum, out) -> None:
         """The rows from ``start`` on: their seeded draws into ``phases`` and ``magnitude``,
-        exp(1j * phase) times the magnitudes, plus the tones on these rows, through irfft
-        into ``out``. Writes only into its arguments, and allocates no array of their size;
-        the draws may be views into ``out``, which irfft writes after they are read."""
+        each phase draw's table factor times the magnitudes, plus the tones on these rows,
+        through irfft into ``out``. Writes only into its arguments, and allocates no array of
+        their size; the draws may be views into ``out``, which irfft writes after they are read."""
         scenario, jitter = self.scenario, self.scenario.magnitude_jitter
         stop, nyquist = start + len(out), scenario.frame_size // 2
         # Generator.uniform(low, high) is low + (high - low) * random(), two IEEE operations.
         rng = np.random.default_rng(scenario.seed)
         rng.bit_generator.advance(start * (nyquist - 1))
         rng.random(out=phases)
-        phases *= 2.0 * np.pi  # uniform(0, 2 pi): adding the low end, 0.0, changes no bit
         rng.bit_generator.advance((scenario.total_frames - len(out)) * (nyquist - 1))
         rng.random(out=magnitude)
         magnitude *= jitter - -jitter
@@ -300,8 +325,9 @@ class SyntheticStream:
         magnitude *= self._levels[start:stop, None]
         # In place, and each step the same IEEE operation as in the whole-matrix expression.
         interior = half_spectrum[:, 1:nyquist]
-        np.multiply(phases, 1j, out=interior)
-        np.exp(interior, out=interior)
+        group = max(1, BLOCK_SAMPLES // (nyquist - 1))  # bounds the lookup's temporaries
+        for a in range(0, len(out), group):
+            interior[a : a + group] = phase_factors(phases[a : a + group])
         interior *= magnitude
         # Events are sorted and disjoint, so the tones ending after `start` come next.
         for first, end, target, tone in self._tones[bisect_right(self._tone_ends, start) :]:
@@ -321,7 +347,7 @@ def generate(
     ``source`` is a scenario, or a SyntheticStream made from one, which fixes
     the levels and events once for many calls. Per frame, interior bins carry
     magnitude level * (1 + u) with u ~ Uniform(-jitter, +jitter) and an
-    independent uniform phase; event frames additionally carry a tone of
+    independent phase, uniform on a grid of 2**16 (phase_factors); event frames additionally carry a tone of
     magnitude amplitude_ratio * level at the target bin. DC and Nyquist stay
     empty so the samples are zero-mean. The rows are made chunk_rows(N) at a
     time, so the heap holds the output and one chunk's spectra.

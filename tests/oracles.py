@@ -121,12 +121,13 @@ def whole_stream_reference(scenario):
     size, total = scenario.frame_size, scenario.total_frames
     nyquist = size // 2
     levels = np.concatenate([p.levels() for p in scenario.phases])
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(total, nyquist - 1))
+    table = np.exp(2j * np.pi * np.arange(2**16) / 2**16)  # noise phase k/2**16 of a turn
+    phases = table[np.floor(rng.random(size=(total, nyquist - 1)) * 2**16).astype(int)]
     jitter = rng.uniform(
         -scenario.magnitude_jitter, scenario.magnitude_jitter, size=(total, nyquist - 1)
     )
     spectrum = np.zeros((total, nyquist + 1), dtype=np.complex128)
-    spectrum[:, 1:nyquist] = levels[:, None] * (1.0 + jitter) * np.exp(1j * phases)
+    spectrum[:, 1:nyquist] = levels[:, None] * (1.0 + jitter) * phases
     spec, events, start = scenario.events, [], 0
     stride = spec.duration_frames + spec.min_gap_frames
     for phase in scenario.phases:

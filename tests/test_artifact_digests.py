@@ -20,7 +20,7 @@ import pytest
 from spectrig.cli import main
 
 REPLICA_SEED_42_SHA256 = {
-    "frames.bin": "47f63e2dc72a4502f749ad52b64c75744025f2bb7418ef6e9cdd55680355c159",
+    "frames.bin": "ce94c940a39dc4ea2d8f9f13a9877984cdfe71136caf846f44a8241b3fec45af",
     "truth.csv": "3c622fdb88eceaf999da2be79979f706f3baeca817a152dc3c986e4201ea8ff3",
     "scenario.json": "85351a6a1ad0613a2d84dc8f35a0e08b010c1c71a4191d8704b988b96e8fc728",
     "pipeline.json": "883d3570d4567f8e02f81f6affa8af09f130a475256a8c615bdc400334ea29da",
@@ -32,35 +32,35 @@ REPLICA_SEED_42_SHA256 = {
 # from the baseline loops.
 REPLICA_SEED_42_FLOAT_SHA256 = {
     "series.csv": {
-        "665e1c0a664898cbf8572e05c03ae3f912956a6f9da404be27f4d2587b0eeae4",
-        "f860efeba6e1f6af7169f2d4333c7280a31942ae35f9694c1c81898ea8483347",
+        "0805099d39d46d88a137392d2ffec24c80c29e973c915348652919cc093e55b6",
+        "539865b2949727bb543fd0b5964c7cef6fb3a1af64f569e76bf04c01eac35f2a",
     },
     "events.csv": {
-        "81b64c68bda0a06e49ecc703e0bacd24b16d8ff6f7cdabc1021403c27acb940e",
-        "879c52930ab07021bb383bafe5fb81512893bba207be03a371d6e707ecab1882",
+        "f00ddd7be40cf0e871bd60f52aa3e3bf7dfb52f9de63c0acf9ce963923ab139c",
+        "cfeb260b8bcb21eb53ff2a7b148ec1c061d3626c4074f15bd8abfed2115d4012",
     },
     "metrics.json": {
-        "b00f52a002055473d8e4cbbb74a405bfb9737c07554fbfc337246f1f919cc588",
-        "f2488c7dd9962ceba4e7c0e9159d70fb7b5b840c1e367fd0e11d15095fe1aef5",
+        "fa3979c9134eb4244fd8441ae80feb09a1c24087a6e669a2d6e428fc85eae1a3",
+        "3abdc4e407d64a91847bfa12316a279613bf9d1d5e60b450681bf938f5b910ae",
     },
     "report.json": {
-        "903b0eb2add65c21015afbb21dd58b11b7ddcfdf9e2179d5cae51094facf86d2",
-        "6e2ac060d8064db921aece863f12f0523da3c1f54668e1c53d3719d5713bfece",
+        "55970aa20b878066da692901cf57bf00dc669d4d4680073b55d5d28d82ff675b",
+        "c9c5ae3dad6cf5d88b010d532d773df218b91411b914127c2c73a1a1482e7356",
     },
 }
 
 DENSE_FLOAT_SHA256 = {
     "series.csv": {
-        "e1d84d73c867cb849df8e6b1044c857fb8a0ce6cbf524fb1cf95a39d3ac2cef9",
-        "fd6dc337cad8b2e6c84923e2bc28cec20e46350be5de9d01feb1853911436059",
+        "86d6aef2ebd0b11e96703df3fd9050c5ba4153bfe3dd63d1f1ceae8cf3618fc2",
+        "ffecaf133a12af40388b7989c405753732f1d2f5d3ba8431c5fed320ecd62ed1",
     },
     "events.csv": {
-        "328df43de1871bcc2c84a905854a3fc1b0d398c731407e2b099c4d1b82c5955d",
-        "e256cc0aa8dabae1864b38b74a54572474a6b9fabd5c2cd3c44aa58bae71bec5",
+        "0bc89e47b2a17060509f4fdb5d6181b92a230f7f77b60f64477c5b947d31faa0",
+        "f7a83489141a36e58f898bf3ae80fc704522428e6358b9e302bd1938f4b87f17",
     },
     "metrics.json": {
-        "6b537eb463b249cab4b3ce09ac1cdeff5ab24549ac4b7b5fe18063c81d6e4fd4",
-        "db945e56c1d4a2f1a7f5dd00b3fa2930a9d93ddf99674f439a3b4ad04a0a3bf8",
+        "5c97823bbdcb5d2510c1f1b534f294f90bb64b3d91de05cd41feec8e087838c7",
+        "31b34ebd667399be37e379d4474c889c6a6ad4b9f76e65d0ace4af5abc9f922d",
     },
 }
 
@@ -88,7 +88,7 @@ def test_replica_seed_42_float_path_dependent_bytes(replica):
 # sha256 of json.dumps(document, sort_keys=True), the threshold values taken out.
 REPLICA_SEED_42_DOCUMENT_SHA256 = {
     "metrics.json": "f8119f3a9ce8680698f33cc75225633092d943259b58bc2bc2b8fff4c5597375",
-    "report.json": "8c611c82ae8fd6096bd282208a22c0ff63a7cc94c8a62cd33d167457ebe163f9",
+    "report.json": "95a3f4571dd961344b025052dc3d98840e708e20ab7de3bf36c810b65dc596d3",
 }
 
 
@@ -217,7 +217,7 @@ def wide(tmp_path_factory):
 
 # Files whose bytes are the same on both float paths: one digest each.
 WIDE_SHA256 = {
-    "gen/frames.bin": "bba3fbb583ae9966909c2ca245cbaba889d8116593c98d69fe581de2ebdfabf1",
+    "gen/frames.bin": "8aea9f7013300defe3f91ca186eff03ad3a3d40e1638cbd40413d2ff21d6ab98",
     "gen/truth.csv": "e28918c3577f8e412894949f03066f849dab630163f8d854eb60bc771cabb1f0",
     "gen/scenario.json": "355c13a3b223add5a6ff9a107d5f3771fad15769b0c79c2d20569ee04fc2cf12",
     "proposed/pipeline.json": "ef79e15b6f2e0458f11b231660657bec8d74babf9a67caaf86913f6ddb64454c",
@@ -237,20 +237,20 @@ WIDE_SHA256 = {
 # Per float-path-dependent file, its accepted digests: numpy's default path, the baseline loops.
 WIDE_FLOAT_SHA256 = {
     "proposed/series.csv": {
-        "fa672cd82195a208e709b3111d6c394bb036171d8a12c74215fd3ee641ebc9d4",
-        "5277c69c93cd6958a25bc97318bb5be6b0b8eecb76fae95273fb0cbab7a1a90e",
+        "0ce83d2a4bbeda0a7209f223579289f9c59c66af8214564f84f89b3a68b89325",
+        "21486daaa1d4a045169fdb47e1fe282cca514ac3576821d7ded02458ee8e4659",
     },
     "proposed/events.csv": {
-        "9ead2a43aaf0f6c2858f0d343b456d3f24da92099143586705e0be96766b4217",
-        "a64064cea8d32e3e525be2416cd2090b113f6c05fbd09d405b3923ebb9e9c581",
+        "50214e1640e4939b0927b183c69598060acc8ddaebac6d7ed1928cf0f2f1b41d",
+        "10d7bc6cdf0faefcf64bfdd012557fbc93352fb026a7b8619b4f7617042d0c38",
     },
     "proposed_eval/metrics.json": {
-        "972d0899a0aef2cfbeb84c90dd7ab08cc3fac96e388116060b47aa9a82929730",
-        "44be438cfdc429206e451a85672d2aeef66ac4c33047f018e73d8a83c0af65c4",
+        "a2723dfa0cc0452cb0147229d9cc0793cef9f40dc5b8a25fe9895b6e9a6e91bf",
+        "ece80a130e18763863d2fd52d01ec6eba97bbb22a80911c2a2c5d956fdc865d0",
     },
     "fixed/events.csv": {
-        "ba2285b1e105a7a5b40d74c0431733463e49edddd09b66821996428522382261",
-        "53ba00bebc715d28319ad30f952316b08877384dc8501017af4ac06acaa09e49",
+        "84558027b2dd986c75c68c28b2cca8676a5f2cdf40ddb3190bff674fb1f3bb40",
+        "d32e5f6ceca41a3ed064d6fde9fbf1e3559e8826e07b6cf1f161ecc33b4f08a0",
     },
 }
 

@@ -62,7 +62,7 @@ class TestReplica:
     def test_report_echoes_reproducible_config(self, replica_dir):
         report = read_json(replica_dir / "report.json")
         assert report["config"]["scenario"]["seed"] == 42
-        assert report["config"]["generator"] == "numpy:PCG64"
+        assert report["config"]["generator"] == "v2:numpy:PCG64:phase-table-2^16"
         assert report["payload_comparison_bits"]["trigger_only"] == 64
         # the echoed scenario reloads into the exact replica definition
         assert io.scenario_from_dict(report["config"]["scenario"]) == replica_scenario(42)

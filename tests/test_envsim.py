@@ -1,5 +1,6 @@
 """Scenario generator: determinism, structure, energy placement."""
 
+import functools
 import math
 import threading
 from unittest import mock
@@ -294,6 +295,30 @@ class TestChunkedGeneration:
             with pytest.raises(ValueError, match="outside the stream"):
                 generate(scenario, start, stop)
         assert generate(scenario, 50, 50)[0].shape == (0, 64)
+
+
+class TestPhaseTable:
+    """Generator v2's noise phase factors: the table entry at floor(u * 2**16) per draw u."""
+
+    @given(st.floats(0.0, 1.0, exclude_max=True))
+    def test_entry_lies_within_one_step_below_the_draw(self, u):
+        factor = envsim.phase_factors(np.array([u]))[0]
+        below = (2 * np.pi * u - np.angle(factor) + np.pi) % (2 * np.pi) - np.pi
+        assert -1e-12 <= below <= 2 * np.pi / 2**16
+        assert abs(abs(factor) - 1.0) <= 1e-15
+
+    def test_built_once_in_the_calling_thread(self, monkeypatch):
+        builds, build = [], envsim.phase_table.__wrapped__
+
+        def recorded():
+            builds.append(threading.current_thread())
+            return build()
+
+        monkeypatch.setattr(envsim, "phase_table", functools.cache(recorded))
+        split_every_chunk(monkeypatch, 3)
+        scenario = small_scenario(seed=5)
+        assert same_bits(generate(scenario)[0], whole_stream_reference(scenario)[0])
+        assert builds == [threading.main_thread()]
 
 
 def split_every_chunk(monkeypatch, cpus: int) -> None:
