@@ -22,8 +22,8 @@ import numpy as np
 
 from .spectral import BLOCK_SAMPLES, BinSet, bin_indices, check_frame_format, chunk_rows
 
-# Version 2: each noise phase is a table entry (see phase_factors). Version 1 took
-# exp(2j * pi * u) itself; its frames.bin files are not reproduced.
+# Version 2 takes each noise phase from a table (phase_factors); the frames.bin
+# files of version 1, "numpy:PCG64", are not reproduced.
 GENERATOR_ID = "v2:numpy:PCG64:phase-table-2^16"
 
 # Entries of the noise phase table: phases fall on a grid of 2 pi / 2**16, about 1e-4 rad.
@@ -347,8 +347,9 @@ def generate(
     ``source`` is a scenario, or a SyntheticStream made from one, which fixes
     the levels and events once for many calls. Per frame, interior bins carry
     magnitude level * (1 + u) with u ~ Uniform(-jitter, +jitter) and an
-    independent phase, uniform on a grid of 2**16 (phase_factors); event frames additionally carry a tone of
-    magnitude amplitude_ratio * level at the target bin. DC and Nyquist stay
+    independent phase, uniform on a grid of 2**16 steps (phase_factors);
+    event frames additionally carry a tone of magnitude amplitude_ratio *
+    level at the target bin. DC and Nyquist stay
     empty so the samples are zero-mean. The rows are made chunk_rows(N) at a
     time, so the heap holds the output and one chunk's spectra.
     """
