@@ -4,12 +4,14 @@ Six seed-42 replica files read the same on numpy's FMA loops and on its
 baseline loops (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL"), and
 have one digest each. series.csv, events.csv, metrics.json and report.json
 hold complex-multiply and abs results whose last bits differ between the two
-paths, so each has a set of accepted digests, one per float path; the same
-holds for a short dense_bins-shaped run (N = 512, bins 56-255), whose
-transform runs 8 full stages, and for a short wide_frames-shaped run
-(N = 2048, bins 37-241, every stage pruned) through each detector, whose
-generation crosses the 128-frame chunk edge. A digest changes only with an
-intended byte change, named with its cause.
+paths, so each has a set of accepted digests, one per float path. Every file
+of the seed-42 replica is pinned with each floor tracker, median and EMA; so
+is every file of a short dense_bins-shaped run (N = 512, bins 56-255, 8 full
+transform stages) and of a short wide_frames-shaped run (N = 2048, bins
+37-241, every stage pruned, generation crossing the 128-frame chunk edge),
+each through the proposed, fixed and decimated detectors, the dense run's
+proposed detector with both trackers. A digest changes only with an intended
+byte change, named with its cause.
 """
 
 import hashlib
@@ -49,22 +51,6 @@ REPLICA_SEED_42_FLOAT_SHA256 = {
     },
 }
 
-DENSE_FLOAT_SHA256 = {
-    "series.csv": {
-        "86d6aef2ebd0b11e96703df3fd9050c5ba4153bfe3dd63d1f1ceae8cf3618fc2",
-        "ffecaf133a12af40388b7989c405753732f1d2f5d3ba8431c5fed320ecd62ed1",
-    },
-    "events.csv": {
-        "0bc89e47b2a17060509f4fdb5d6181b92a230f7f77b60f64477c5b947d31faa0",
-        "f7a83489141a36e58f898bf3ae80fc704522428e6358b9e302bd1938f4b87f17",
-    },
-    "metrics.json": {
-        "5c97823bbdcb5d2510c1f1b534f294f90bb64b3d91de05cd41feec8e087838c7",
-        "31b34ebd667399be37e379d4474c889c6a6ad4b9f76e65d0ace4af5abc9f922d",
-    },
-}
-
-
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -101,16 +87,81 @@ def without_thresholds(metrics: dict) -> dict:
     return metrics
 
 
-def test_replica_seed_42_float_path_independent_documents(replica):
-    metrics = json.loads((replica / "metrics.json").read_text())
-    report = json.loads((replica / "report.json").read_text())
+def document_digests(out) -> dict:
+    """sha256 of a replica's metrics.json and report.json documents, thresholds taken out."""
+    metrics = json.loads((out / "metrics.json").read_text())
+    report = json.loads((out / "report.json").read_text())
     documents = {"metrics.json": without_thresholds(metrics), "report.json": report}
     without_thresholds(report["metrics"])
-    digests = {
+    return {
         name: hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
         for name, document in documents.items()
     }
-    assert digests == REPLICA_SEED_42_DOCUMENT_SHA256
+
+
+def test_replica_seed_42_float_path_independent_documents(replica):
+    assert document_digests(replica) == REPLICA_SEED_42_DOCUMENT_SHA256
+
+
+# replica --seed 42 --tracker ema: the EMA floor's files, pinned as the median's are.
+REPLICA_EMA_SEED_42_SHA256 = {
+    "confusion.csv": "1fe5e6e478702f2fe22158c5f141a5b4d733125723df1b1a2a8c0b3d01858bff",
+    "frames.bin": "ce94c940a39dc4ea2d8f9f13a9877984cdfe71136caf846f44a8241b3fec45af",
+    "per_phase.csv": "227c794867722dcb80b6a1e05da8dbf127f3b37a56347a7c4d48fbfcfd4500f6",
+    "pipeline.json": "8bd138c2ac79eb7fff59362e31e85d294ccf0c9b55b9dade8a3213da5aa896df",
+    "scenario.json": "85351a6a1ad0613a2d84dc8f35a0e08b010c1c71a4191d8704b988b96e8fc728",
+    "truth.csv": "3c622fdb88eceaf999da2be79979f706f3baeca817a152dc3c986e4201ea8ff3",
+}
+
+REPLICA_EMA_SEED_42_FLOAT_SHA256 = {
+    "events.csv": {
+        "b6f3dfeaa7a95e94c855e233bef8557585ebd189db42e847884799a12f8b0934",
+        "0f4082371374de6b883a713b6f4003bfa9fc4838a40f72503cb4d6b07d039845",
+    },
+    "metrics.json": {
+        "fc0c109432699fc4730ec87fc7fe60fc1ed4e8120940d34149fedb7070e2ca0e",
+        "0fd3b88105fcf270ffd41ba982dc93c4896c17de2256d3fb76fa9ead9168f701",
+    },
+    "report.json": {
+        "2cf32f593003b3b2b1c0d41e0fbf5d7c0125fbcc455671c61379398fadc350ae",
+        "e7b7a01ae4b673fb188fc00a9c2e063386ac75ced7e1a4468e4aa208d9654f41",
+    },
+    "series.csv": {
+        "2e15eb9c1a592645ac3403bc096f98e6d2d7f43adeab76605b37e47583e21a8d",
+        "4bb200fb94b4b4d99d004a15e2603fe7482bc12793c95e3d7f61725e9e90b65e",
+    },
+}
+
+REPLICA_EMA_SEED_42_DOCUMENT_SHA256 = {
+    "metrics.json": "f8119f3a9ce8680698f33cc75225633092d943259b58bc2bc2b8fff4c5597375",
+    "report.json": "81abae27732e31400a46a6347a321ed7501936eef4fa612099194ac6d7462672",
+}
+
+
+@pytest.fixture(scope="module")
+def replica_ema(tmp_path_factory):
+    out = tmp_path_factory.mktemp("replica_ema")
+    assert main(["replica", "--seed", "42", "--tracker", "ema", "--out-dir", str(out)]) == 0
+    return out
+
+
+def test_replica_ema_seed_42_every_file_is_pinned(replica_ema):
+    names = sorted(path.name for path in replica_ema.iterdir())
+    assert names == sorted([*REPLICA_EMA_SEED_42_SHA256, *REPLICA_EMA_SEED_42_FLOAT_SHA256])
+
+
+def test_replica_ema_seed_42_float_path_independent_bytes(replica_ema):
+    digests = {name: sha256(replica_ema / name) for name in REPLICA_EMA_SEED_42_SHA256}
+    assert digests == REPLICA_EMA_SEED_42_SHA256
+
+
+def test_replica_ema_seed_42_float_path_dependent_bytes(replica_ema):
+    for name, accepted in REPLICA_EMA_SEED_42_FLOAT_SHA256.items():
+        assert sha256(replica_ema / name) in accepted, name
+
+
+def test_replica_ema_seed_42_float_path_independent_documents(replica_ema):
+    assert document_digests(replica_ema) == REPLICA_EMA_SEED_42_DOCUMENT_SHA256
 
 
 DENSE_BINS = list(range(56, 256))
@@ -139,25 +190,106 @@ DENSE_PIPELINE = {
 }
 
 
-def test_dense_bins_float_path_dependent_bytes(tmp_path):
-    """generate, detect (proposed, median) and eval of a 400-frame dense_bins-shaped run."""
-    (tmp_path / "scenario.json").write_text(json.dumps(DENSE_SCENARIO))
-    (tmp_path / "pipeline.json").write_text(json.dumps(DENSE_PIPELINE))
-    gen, det, ev = tmp_path / "gen", tmp_path / "detect", tmp_path / "eval"
-    assert main(["generate", "--config", str(tmp_path / "scenario.json"), "--out-dir", str(gen)]) == 0
-    assert main([
-        "detect", "--frames", str(gen / "frames.bin"), "--config", str(tmp_path / "pipeline.json"),
-        "--out-dir", str(det),
-    ]) == 0
-    assert main([
-        "eval", "--events", str(det / "events.csv"), "--truth", str(gen / "truth.csv"),
-        "--scenario", str(gen / "scenario.json"), "--series", str(det / "series.csv"),
-        "--out-dir", str(ev),
-    ]) == 0
-    digests = {"series.csv": sha256(det / "series.csv"), "events.csv": sha256(det / "events.csv"),
-               "metrics.json": sha256(ev / "metrics.json")}
+DENSE_DETECTORS = {
+    "median": ["--detector", "proposed"],
+    "ema": ["--detector", "proposed", "--tracker", "ema"],
+    "fixed": ["--detector", "fixed", "--calib-frames", "100"],
+    "decimated": ["--detector", "decimated"],
+}
+
+
+def run_detectors(work, scenario, pipeline, detectors) -> dict:
+    """generate, then detect and eval with each detector (the proposed ones' eval with their
+    series); {relative path: sha256} of every file written under ``work``."""
+    (work / "scenario.json").write_text(json.dumps(scenario))
+    (work / "pipeline.json").write_text(json.dumps(pipeline))
+    gen = work / "gen"
+    assert main(["generate", "--config", str(work / "scenario.json"), "--out-dir", str(gen)]) == 0
+    for name, args in detectors.items():
+        det, ev = work / name, work / f"{name}_eval"
+        assert main([
+            "detect", "--frames", str(gen / "frames.bin"), "--config", str(work / "pipeline.json"),
+            *args, "--out-dir", str(det),
+        ]) == 0
+        series = ["--series", str(det / "series.csv")] if "proposed" in args else []
+        assert main([
+            "eval", "--events", str(det / "events.csv"), "--truth", str(gen / "truth.csv"),
+            "--scenario", str(gen / "scenario.json"), *series, "--out-dir", str(ev),
+        ]) == 0
+    return {str(path.relative_to(work)): sha256(path) for path in work.glob("*/*")}
+
+
+@pytest.fixture(scope="module")
+def dense(tmp_path_factory):
+    """A 400-frame dense_bins-shaped run through the median, EMA, fixed and decimated detectors."""
+    return run_detectors(tmp_path_factory.mktemp("dense"), DENSE_SCENARIO, DENSE_PIPELINE, DENSE_DETECTORS)
+
+
+# Files whose bytes are the same on both float paths: one digest each.
+DENSE_SHA256 = {
+    "decimated/events.csv": "06cc48e1aa754b0a16a6b55b16102b49573488638d514faeae0b0eb60868aea4",
+    "decimated/pipeline.json": "b94858e5135d3a792dec406335b09e3c96fd06742e6437648ffe346af87f4d20",
+    "decimated_eval/confusion.csv": "8bc8792d3ab5541ee38829581dd7262e9cb547c65c8414391378d44c428f4a08",
+    "decimated_eval/metrics.json": "d9bb83469d9bf29a473f0c3078e0aa9187fdb5ad6548dba56e6172c1224e0dbc",
+    "decimated_eval/per_phase.csv": "9b2c0d8fbb7f33b6836835008e2b6d6bdbe0268cefada22a8a2075dbf8430ace",
+    "ema/pipeline.json": "30870701eec085916424bc2fa65cb941e041332e317e8df8c3e780f45f778246",
+    "ema_eval/confusion.csv": "63e82019d77d3927ba2c3acc34377c2510f79423330d28226694bf9eab61a4e7",
+    "ema_eval/per_phase.csv": "cda28cc05160e190be44a087bc8501e849e098ac3c797ac6459efd6aff1b5b2d",
+    "fixed/pipeline.json": "b94858e5135d3a792dec406335b09e3c96fd06742e6437648ffe346af87f4d20",
+    "fixed_eval/confusion.csv": "1361d728b20da0ccaa10630a26d85be8acb8e417c2d2777a1a70b3293c14d367",
+    "fixed_eval/metrics.json": "6eedb694cf6e1cdeed564dd1ccd8902b25b78635e6d1f03b00910bd715e9aae3",
+    "fixed_eval/per_phase.csv": "f4fa6d3459cd7a9b1c340327c49b9ce0b570dc611f6b3ea19c56f402cf140d5e",
+    "gen/frames.bin": "00ea7a7bee15208fd29cf6a112204fe79dd9ee614f247206aada3b2d38694ac5",
+    "gen/scenario.json": "dae69db7d50e4ed9ec694da1b50dd4fee1ab71596f1f186f000a2d652b22dbed",
+    "gen/truth.csv": "3073ed841134afe7c6b3fa7efafd4ea420224b42e2a4b5aecc197c86e350e425",
+    "median/pipeline.json": "b94858e5135d3a792dec406335b09e3c96fd06742e6437648ffe346af87f4d20",
+    "median_eval/confusion.csv": "7d8132f8132b293f9a3463f561d76100ccd45ccc718bf0338673053d28b3796e",
+    "median_eval/per_phase.csv": "b544bc7e7d20de2f27edfc76a8e948596e99608538a30a2d122e0256d293b870",
+}
+
+# Per float-path-dependent file, its accepted digests: numpy's default path, the baseline loops.
+DENSE_FLOAT_SHA256 = {
+    "ema/events.csv": {
+        "c791f87b5939221654542bafcc23616f1bf3eced702dda057605ed887a8a68db",
+        "30b737f609f065dc41032803ebfe5ca91f52a5b300279a23d6778500f929c50f",
+    },
+    "ema/series.csv": {
+        "059fc9848866acb2b85955723753b533cd656e61be204f886d9f7caeed53ecee",
+        "94f678ee12cde44358316a0642f7fb9383d9c40fd18ec28a3156f360a8447d7c",
+    },
+    "ema_eval/metrics.json": {
+        "937520f49ab59b0fc7730771a51f690efbe5f56f211fa51273addd2888a9198a",
+        "9720988fcaa43a2853491895976bcf55726e53284fc17becea54bc873d73595a",
+    },
+    "fixed/events.csv": {
+        "5212e0dc9769a827b98491d98cbb7257366cb4dfe488100475fc24423398dfbc",
+        "b48290c92191610661effbe6a0820a090400b6818bbe472291714079b8384756",
+    },
+    "median/events.csv": {
+        "0bc89e47b2a17060509f4fdb5d6181b92a230f7f77b60f64477c5b947d31faa0",
+        "f7a83489141a36e58f898bf3ae80fc704522428e6358b9e302bd1938f4b87f17",
+    },
+    "median/series.csv": {
+        "86d6aef2ebd0b11e96703df3fd9050c5ba4153bfe3dd63d1f1ceae8cf3618fc2",
+        "ffecaf133a12af40388b7989c405753732f1d2f5d3ba8431c5fed320ecd62ed1",
+    },
+    "median_eval/metrics.json": {
+        "5c97823bbdcb5d2510c1f1b534f294f90bb64b3d91de05cd41feec8e087838c7",
+        "31b34ebd667399be37e379d4474c889c6a6ad4b9f76e65d0ace4af5abc9f922d",
+    },
+}
+
+def test_dense_bins_every_file_is_pinned(dense):
+    assert sorted(dense) == sorted([*DENSE_SHA256, *DENSE_FLOAT_SHA256])
+
+
+def test_dense_bins_float_path_independent_bytes(dense):
+    assert {name: dense[name] for name in DENSE_SHA256} == DENSE_SHA256
+
+
+def test_dense_bins_float_path_dependent_bytes(dense):
     for name, accepted in DENSE_FLOAT_SHA256.items():
-        assert digests[name] in accepted, name
+        assert dense[name] in accepted, name
 
 
 WIDE_BINS = [37, 101, 173, 241]
@@ -193,26 +325,8 @@ WIDE_DETECTORS = {
 
 @pytest.fixture(scope="module")
 def wide(tmp_path_factory):
-    """generate, then detect and eval with each detector, of a 300-frame wide_frames-shaped
-    run (N = 2048, so 128-frame chunks); {relative path: sha256} of every file written."""
-    work = tmp_path_factory.mktemp("wide")
-    (work / "scenario.json").write_text(json.dumps(WIDE_SCENARIO))
-    (work / "pipeline.json").write_text(json.dumps(WIDE_PIPELINE))
-    gen = work / "gen"
-    assert main(["generate", "--config", str(work / "scenario.json"), "--out-dir", str(gen)]) == 0
-    for name, args in WIDE_DETECTORS.items():
-        det, ev = work / name, work / f"{name}_eval"
-        assert main([
-            "detect", "--frames", str(gen / "frames.bin"), "--config", str(work / "pipeline.json"),
-            *args, "--out-dir", str(det),
-        ]) == 0
-        series = ["--series", str(det / "series.csv")] if name == "proposed" else []
-        assert main([
-            "eval", "--events", str(det / "events.csv"), "--truth", str(gen / "truth.csv"),
-            "--scenario", str(gen / "scenario.json"), *series, "--out-dir", str(ev),
-        ]) == 0
-    return {str(path.relative_to(work)): sha256(path) for path in work.glob("*/*")}
-
+    """A 300-frame wide_frames-shaped run (N = 2048, so 128-frame chunks) through each detector."""
+    return run_detectors(tmp_path_factory.mktemp("wide"), WIDE_SCENARIO, WIDE_PIPELINE, WIDE_DETECTORS)
 
 
 # Files whose bytes are the same on both float paths: one digest each.
