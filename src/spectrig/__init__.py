@@ -52,7 +52,7 @@ from .pipeline import (
     state_entry_count,
     state_memory_bytes,
 )
-from .spectral import BinSet, FftPlan, Frame, fft, magnitude
+from .spectral import BinSet, FftPlan, Frame, RealPlan, fft, magnitude
 from .trigger import (
     PAYLOAD_BITS,
     ThresholdConfig,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .noisefloor import MAX_WINDOW, EmaTracker, NoiseFloorState
-from .spectral import BLOCK_SAMPLES, BinSet, FftPlan, Frame, check_frame_format, chunk_rows
+from .spectral import BLOCK_SAMPLES, BinSet, Frame, RealPlan, check_frame_format, chunk_rows
 from .trigger import (
     MAX_BIN_ID,
     ThresholdConfig,
@@ -124,7 +124,7 @@ class Pipeline:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        self._plan = FftPlan(config.frame_size, config.bins)  # pruned to the monitored bins
+        self._plan = RealPlan(config.frame_size, config.bins)  # the monitored bins only
         if config.tracker == TRACKER_EMA:
             self._tracker = EmaTracker(config.bins, alpha=config.ema_alpha)
         else:
@@ -190,7 +190,7 @@ class Pipeline:
                     yield result[first : first + self._block_rows]
 
     def _magnitudes(self, samples: np.ndarray) -> np.ndarray:
-        """Window, pruned transform and |X|: the rows' (rows, bins) magnitudes."""
+        """Window, real-input transform and |X|: the rows' (rows, bins) magnitudes."""
         if self.config.window is not None:
             samples = samples * self.config.window
         return np.abs(self._plan(samples))

@@ -244,10 +244,12 @@ class FftPlan:
             raise ValueError("samples must all be finite")
         if not self._twiddles:
             return rows
-        x = rows.astype(np.complex128)[:, None, :]
+        x = np.asarray(rows, np.complex128)[:, None, :]
         for w in self._twiddles:
             half, groups = len(w), self.size // (2 * len(w))
-            upper, lower = x[:, :, :groups], x[:, :, groups:] * w
+            upper, lower = x[:, :, :groups], x[:, :, groups:]
+            if half > 1:  # stage 2's twiddle is 1: x * (1 + 0j) is x, but for a zero's sign
+                lower = lower * w
             if groups > half:
                 x = store = np.empty((len(rows), 2 * half, groups), np.complex128)
             else:
@@ -258,11 +260,49 @@ class FftPlan:
         return store.reshape(-1, self.size)
 
     def _butterflies(self, x: np.ndarray, stages) -> np.ndarray:
-        """Pruned ``stages`` on the rows of ``x``: each gathers its pairs, then even + odd * w."""
+        """Pruned ``stages`` on the rows of ``x``: each gathers its pairs, then even + odd * w.
+        The indices are in range by construction; mode="wrap" skips numpy's bounds check."""
         for index, w in stages:
-            pairs = x.take(index, axis=1)
+            pairs = x.take(index, axis=1, mode="wrap")
             x = pairs[:, : w.size] + pairs[:, w.size :] * w
         return x
+
+
+class RealPlan:
+    """X at ``bins`` (each in [0, N/2]) of real frames, through one N/2-point FftPlan.
+
+    Samples 2n and 2n + 1 are read, without a copy, as the real and imaginary
+    parts of z[n]; FftPlan(N/2) gives Z at a = k mod N/2 and b = -k mod N/2, and
+    one split stage (Sorensen, Jones, Heideman and Burrus 1987) gives
+    X[k] = ½(Z[a] + conj Z[b]) − ½i·W^k·(Z[a] − conj Z[b]), W = exp(−2πi/N),
+    taken as Z[a]·½(1 − iW^k) + conj Z[b]·½(1 + iW^k): each product is at most
+    |Z| in size, so a finite X never overflows on the way. Fewer than 3 bins are
+    padded with repeats of the first, so that the split's multiplies see at least
+    3 values a row (see _pruned_outputs)."""
+
+    def __init__(self, size: int, bins):
+        self.size, self.bins, half = size, bin_indices(bins), size // 2
+        if size < 4 or not is_power_of_two(size):
+            raise ValueError(f"transform size must be a power of two >= 4, got {size}")
+        if not self.bins or not 0 <= min(self.bins) <= max(self.bins) <= half:
+            raise ValueError(f"bins must be 1 or more indices in [0, {half}], got {self.bins}")
+        padded = self.bins + self.bins[:1] * (3 - len(self.bins))
+        self._count = len(padded)
+        self._plan = FftPlan(half, [k % half for k in padded] + [-k % half for k in padded])
+        w = np.exp(-2j * np.pi * np.asarray(padded) / size)
+        self._split = 0.5 * (1 - 1j * w), 0.5 * (1 + 1j * w)
+
+    def __call__(self, samples) -> np.ndarray:
+        """Shape (M,) for one frame, (T, M) for a (T, N) block, each row's bits its own."""
+        x = np.asarray(samples, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.size:
+            raise ValueError(f"expected {self.size} samples per frame, got shape {x.shape}")
+        if not x.flags.c_contiguous:
+            x = np.ascontiguousarray(x)
+        z = self._plan(x.view(np.complex128))
+        upper, lower = self._split
+        spectrum = z[..., : self._count] * upper + np.conj(z[..., self._count :]) * lower
+        return spectrum[..., : len(self.bins)]
 
 
 @lru_cache(maxsize=32)

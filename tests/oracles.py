@@ -50,6 +50,37 @@ def radix2_reference(frames) -> np.ndarray:
     return x.reshape(np.shape(frames))
 
 
+def packed_real_reference(frames) -> np.ndarray:
+    """X[0 ... N/2] of each real row, by packing N samples into N/2 complex values.
+
+    Not naive: it is the sequence the pipeline's transform runs, written out
+    whole. Samples 2n and 2n + 1 are the real and imaginary parts of z[n]; an
+    in-place radix-2 DIT transform of N/2 points (bit reversal, then per stage
+    upper + w * lower and upper - w * lower) gives Z; the split gives
+    X[k] = Z[k mod N/2]·½(1 − iW^k) + conj Z[−k mod N/2]·½(1 + iW^k), W = exp(−2πi/N).
+    """
+    x = np.asarray(frames, dtype=np.float64)
+    n = x.shape[-1]
+    h = n // 2
+    z = np.empty(x.shape[:-1] + (h,), dtype=np.complex128)
+    z.real, z.imag = x[..., 0::2], x[..., 1::2]
+    bits = h.bit_length() - 1
+    z = z[..., [int(format(i, f"0{bits}b")[::-1], 2) for i in range(h)]]
+    half = 1
+    while half < h:
+        w = np.exp(-2j * np.pi * np.arange(half) / (2 * half))
+        z = z.reshape(-1, 2 * half)
+        upper = z[:, :half].copy()
+        lower = z[:, half:] * w
+        z[:, :half] = upper + lower
+        z[:, half:] = upper - lower
+        half *= 2
+    z = z.reshape(x.shape[:-1] + (h,))
+    k = np.arange(h + 1)
+    w = np.exp(-2j * np.pi * k / n)
+    return z[..., k % h] * (0.5 * (1 - 1j * w)) + np.conj(z[..., -k % h]) * (0.5 * (1 + 1j * w))
+
+
 def sorted_median(values) -> float:
     """Full-sort order statistic at index len // 2 (upper middle when even)."""
     ordered = sorted(float(v) for v in values)

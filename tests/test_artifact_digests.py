@@ -34,20 +34,20 @@ REPLICA_SEED_42_SHA256 = {
 # from the baseline loops.
 REPLICA_SEED_42_FLOAT_SHA256 = {
     "series.csv": {
-        "0805099d39d46d88a137392d2ffec24c80c29e973c915348652919cc093e55b6",
-        "539865b2949727bb543fd0b5964c7cef6fb3a1af64f569e76bf04c01eac35f2a",
+        "18019d0a3010695d7f50b2d76a191acd4a7074af1b3b41516f23d5f3a262fe94",
+        "9cecbd555c0feb75eb92d30bc5ba0755398f1e29cced9f75095b998424201cbd",
     },
     "events.csv": {
-        "f00ddd7be40cf0e871bd60f52aa3e3bf7dfb52f9de63c0acf9ce963923ab139c",
-        "cfeb260b8bcb21eb53ff2a7b148ec1c061d3626c4074f15bd8abfed2115d4012",
+        "05d52a00e84c796346912dda4b1b98955a4840371b03b10e2169231014d4ad35",
+        "2271909f19cd991abe387e7da00ebcddb4874972a26434fd2080e95b6dbdde28",
     },
     "metrics.json": {
-        "fa3979c9134eb4244fd8441ae80feb09a1c24087a6e669a2d6e428fc85eae1a3",
-        "3abdc4e407d64a91847bfa12316a279613bf9d1d5e60b450681bf938f5b910ae",
+        "303f32356e5e8b3ba634508a4ffa20b98adeb7fc94b3d3afb5b59359bdca8a56",
+        "349870985adb9e088d3d65c2512e405abd234ca9f9dc68eb6572d6a7494fbd9a",
     },
     "report.json": {
-        "55970aa20b878066da692901cf57bf00dc669d4d4680073b55d5d28d82ff675b",
-        "c9c5ae3dad6cf5d88b010d532d773df218b91411b914127c2c73a1a1482e7356",
+        "d6596aba816e490d94c2f7896260e13e2d2efa4023512c31bf114855be67895f",
+        "9a53fdcdade8961fc664ddd1b9b782f1500b0d0bde53387645af88b22fcc93c9",
     },
 }
 
@@ -115,20 +115,20 @@ REPLICA_EMA_SEED_42_SHA256 = {
 
 REPLICA_EMA_SEED_42_FLOAT_SHA256 = {
     "events.csv": {
-        "b6f3dfeaa7a95e94c855e233bef8557585ebd189db42e847884799a12f8b0934",
-        "0f4082371374de6b883a713b6f4003bfa9fc4838a40f72503cb4d6b07d039845",
+        "abd9e268aeee49cce7c3697ba2321f22a017278b20655c5b39a17be5aae7fc6e",
+        "b0cdf01fa584a07bc1377a91fd4fe318647e798a7d973262ece7c56c4a66a0a6",
     },
     "metrics.json": {
-        "fc0c109432699fc4730ec87fc7fe60fc1ed4e8120940d34149fedb7070e2ca0e",
-        "0fd3b88105fcf270ffd41ba982dc93c4896c17de2256d3fb76fa9ead9168f701",
+        "801c9df5b2f5ca10caac4576ec5bc04eaf460ca3276656a6fb8b69f3d81b69b7",
+        "c939d0597e8c505f19b02a93ffd44d612c94b0cdc34f59853b29eb3c6e802049",
     },
     "report.json": {
-        "2cf32f593003b3b2b1c0d41e0fbf5d7c0125fbcc455671c61379398fadc350ae",
-        "e7b7a01ae4b673fb188fc00a9c2e063386ac75ced7e1a4468e4aa208d9654f41",
+        "01a82c75dc6401f14ff09fa699d8225e67fa62ec3a48e33d4da88a003800019c",
+        "3255c57218b1c29a9669d81db50279b8f5e30d5b5cbc331d9ea64ff181e012ad",
     },
     "series.csv": {
-        "2e15eb9c1a592645ac3403bc096f98e6d2d7f43adeab76605b37e47583e21a8d",
-        "4bb200fb94b4b4d99d004a15e2603fe7482bc12793c95e3d7f61725e9e90b65e",
+        "495e90098eb5b4e7e1b28c41e871253a17618a7a3e454f4d5a7935b42189194b",
+        "e9e16cf82f50a767a2487df8209208ab3c8875562fc9c571bc871867c52d35ce",
     },
 }
 
@@ -250,32 +250,32 @@ DENSE_SHA256 = {
 # Per float-path-dependent file, its accepted digests: numpy's default path, the baseline loops.
 DENSE_FLOAT_SHA256 = {
     "ema/events.csv": {
-        "c791f87b5939221654542bafcc23616f1bf3eced702dda057605ed887a8a68db",
-        "30b737f609f065dc41032803ebfe5ca91f52a5b300279a23d6778500f929c50f",
+        "87657706d4e1643dd726a3adc986316c4aa437bc106581cf2e72823a1b170246",
+        "7aafa78b708545eb904e35b280dc2a2adcdf43c7db3fba0319fff4e18e070dd3",
     },
     "ema/series.csv": {
-        "059fc9848866acb2b85955723753b533cd656e61be204f886d9f7caeed53ecee",
-        "94f678ee12cde44358316a0642f7fb9383d9c40fd18ec28a3156f360a8447d7c",
+        "c1746140eb00afb351a186cf09470c49e57029cf77af17fd9b5a481cceaca734",
+        "44e0f3cab28b334c12d161213257878d8e3d38cd3b950d7bbd865181a3425398",
     },
     "ema_eval/metrics.json": {
-        "937520f49ab59b0fc7730771a51f690efbe5f56f211fa51273addd2888a9198a",
-        "9720988fcaa43a2853491895976bcf55726e53284fc17becea54bc873d73595a",
+        "cc49cb5af4ddc6a3a4685a6d355545d2552efc20734a1aa48aa86b36a5cb7348",
+        "acee35eba3b7d6b38c3f0f0f1c3d5361549f53645e0fb1fe6899386469208c3a",
     },
     "fixed/events.csv": {
-        "5212e0dc9769a827b98491d98cbb7257366cb4dfe488100475fc24423398dfbc",
-        "b48290c92191610661effbe6a0820a090400b6818bbe472291714079b8384756",
+        "4c9f0f8fb3a9ddd1128507ecb990c445727183d6e200848f5c5005229ca1734f",
+        "8203f3f9ecf5136e13879a2fa509f56be0440d255a3fe6dce80c17f05136185d",
     },
     "median/events.csv": {
-        "0bc89e47b2a17060509f4fdb5d6181b92a230f7f77b60f64477c5b947d31faa0",
-        "f7a83489141a36e58f898bf3ae80fc704522428e6358b9e302bd1938f4b87f17",
+        "752a59db26957ef87b14c27be9d73dd058950218f37508ed64c3597c03bf9981",
+        "252abdde61dbbf7c46fb268307815a0e9a6a2b2fc5918cf3a1b303585f1b4153",
     },
     "median/series.csv": {
-        "86d6aef2ebd0b11e96703df3fd9050c5ba4153bfe3dd63d1f1ceae8cf3618fc2",
-        "ffecaf133a12af40388b7989c405753732f1d2f5d3ba8431c5fed320ecd62ed1",
+        "4fb7391f0044e128be9038bd50264867770e0e5a2e6f312d0b0e09b59b456435",
+        "f6a0c48e0e97b7a3a5ff1710ed9a9da731771ef8b54be99f7b7359c0df669d70",
     },
     "median_eval/metrics.json": {
-        "5c97823bbdcb5d2510c1f1b534f294f90bb64b3d91de05cd41feec8e087838c7",
-        "31b34ebd667399be37e379d4474c889c6a6ad4b9f76e65d0ace4af5abc9f922d",
+        "62f5f6f4fddbf6efe69d6a9443489325ddb44b9a3394cd80160540089a2acc39",
+        "1fd621009ecb45b57b750e6432a4736c7ff18f1f999240b73bb50b617c16be58",
     },
 }
 
@@ -351,20 +351,20 @@ WIDE_SHA256 = {
 # Per float-path-dependent file, its accepted digests: numpy's default path, the baseline loops.
 WIDE_FLOAT_SHA256 = {
     "proposed/series.csv": {
-        "0ce83d2a4bbeda0a7209f223579289f9c59c66af8214564f84f89b3a68b89325",
-        "21486daaa1d4a045169fdb47e1fe282cca514ac3576821d7ded02458ee8e4659",
+        "399835aa89bb6b14fdbfed7a6186f8d52d5af3a2213f69e01f50e7c7d8ebde33",
+        "a60c2c280c58c84110470abc6966c8aba761f7b1759dbcf23a98192c1bb71644",
     },
     "proposed/events.csv": {
-        "50214e1640e4939b0927b183c69598060acc8ddaebac6d7ed1928cf0f2f1b41d",
-        "10d7bc6cdf0faefcf64bfdd012557fbc93352fb026a7b8619b4f7617042d0c38",
+        "2eb42491e490664b5818f0ce5ee0c9b48cf02573055483c13a953521963c8413",
+        "9b4a3d6cfec5993e276f37a608050ee2df6ad0251de80b0605ee04769e64e707",
     },
     "proposed_eval/metrics.json": {
-        "a2723dfa0cc0452cb0147229d9cc0793cef9f40dc5b8a25fe9895b6e9a6e91bf",
-        "ece80a130e18763863d2fd52d01ec6eba97bbb22a80911c2a2c5d956fdc865d0",
+        "1baa63aed8d912323296117ab0580c843f45f44203123d04800baa118884b149",
+        "bd264bbcf33407898fae3e62bab418de413a4d6ac07443061ced3a6f83b273a2",
     },
     "fixed/events.csv": {
-        "84558027b2dd986c75c68c28b2cca8676a5f2cdf40ddb3190bff674fb1f3bb40",
-        "d32e5f6ceca41a3ed064d6fde9fbf1e3559e8826e07b6cf1f161ecc33b4f08a0",
+        "8e68b4194130f976cf4e05f6c86c2293053b4e770b26b7f35c4da88a3aa8d93a",
+        "46cea4a2226b221a556880145b7d0eaf47bb51dae857c596903fdc85a4a98041",
     },
 }
 

@@ -21,7 +21,7 @@ from spectrig.pipeline import (
 from spectrig.spectral import BinSet, FftPlan, Frame
 from spectrig.trigger import ThresholdConfig
 
-from oracles import naive_pipeline_events
+from oracles import naive_pipeline_events, packed_real_reference
 
 
 def config_for(bins, n=32, fast=3, slow=8, **kwargs) -> PipelineConfig:
@@ -373,6 +373,24 @@ class TestBlockCore:
         list(pipeline.magnitude_blocks(frames[:20]))
         with pytest.raises(ValueError, match="frame 31: samples must all be finite"):
             list(pipeline.magnitude_blocks(frames[20:]))
+
+    @pytest.mark.parametrize("n, bins, window", [
+        (128, (3, 9, 14, 21, 27, 36, 44, 52), False),
+        (512, tuple(range(56, 256)), False),
+        (2048, (37, 101, 173, 241), False),
+        (32, (0, 16), True),
+    ])
+    def test_magnitudes_carry_the_packed_references_bits(self, n, bins, window):
+        """Every magnitude, from a span or from one frame, is |X| of the pack-and-split
+        reference, bit for bit: the workloads' shapes, and a window with two edge bins."""
+        frames = np.random.default_rng(n).normal(size=(40, n)) * 100.0
+        config = config_for(bins, n=n, window=np.hanning(n) if window else None)
+        mags = np.concatenate(list(Pipeline(config).magnitude_blocks(frames)))
+        windowed = frames * config.window if window else frames
+        expected = np.abs(packed_real_reference(windowed)[:, list(bins)])
+        assert mags.tobytes() == expected.tobytes()
+        frame = Frame(samples=frames[3], frame_index=0, sample_rate_hz=1000.0)
+        assert Pipeline(config).process_frame(frame).magnitudes.tobytes() == expected[3].tobytes()
 
     def test_empty_stream_gives_no_block(self):
         assert list(Pipeline(config_for([3])).process_blocks([])) == []

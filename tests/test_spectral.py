@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectrig import spectral
-from spectrig.spectral import BinSet, FftPlan, Frame, fft, magnitude
+from spectrig.spectral import BinSet, FftPlan, Frame, RealPlan, fft, magnitude
 
-from oracles import naive_dft, radix2_reference
+from oracles import naive_dft, packed_real_reference, radix2_reference
 
 SIZES = [8, 16, 32, 64, 128, 256, 512, 1024]
 
@@ -325,6 +325,90 @@ class TestPrunedPlan:
     def test_rejects_bad_bins(self, bins):
         with pytest.raises(ValueError):
             FftPlan(64, bins)
+
+
+@st.composite
+def real_cases(draw):
+    """A frame size 8...2048, 1-8 rows of samples (some of them signed zeros) and sorted
+    bins in 0...N/2: one or two of them, or any, with 0 and N/2 or mirrored pairs k and
+    N/2 - k drawn in."""
+    n = 2 ** draw(st.integers(3, 11), label="log2 N")
+    few = draw(st.booleans(), label="one or two bins")
+    bins = set(draw(st.lists(st.integers(0, n // 2), min_size=1, max_size=2 if few else 200)))
+    if not few:
+        if draw(st.booleans(), label="0 and N/2"):
+            bins |= {0, n // 2}
+        for k in draw(st.lists(st.integers(0, n // 4), max_size=4), label="mirrored"):
+            bins |= {k, n // 2 - k}
+    rows = draw(st.integers(1, 8), label="rows")
+    samples = signed_zero_samples(draw(st.integers(0, 2**32 - 1), label="seed"), rows, n)
+    return n, tuple(sorted(bins)), samples
+
+
+class TestRealPlan:
+    """Real frames packed into an N/2-point plan, and split at the bins."""
+
+    @given(real_cases(), st.integers(8, 2**13))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_alone_any_bound_reference_and_rfft(self, case, bound):
+        """Each row carries its one-row call's bits under any BLOCK_SAMPLES, |X| carries the
+        pack-and-split reference's bits, and X lies within 1e-12 of rfft's."""
+        n, bins, samples = case
+        plan = RealPlan(n, bins)
+        out = plan(samples)
+        assert out.shape == (len(samples), len(bins))
+        with mock.patch.object(spectral, "BLOCK_SAMPLES", bound):
+            assert bits(plan(samples)) == bits(out)
+        for row, values in zip(samples, out):
+            assert bits(plan(row)) == bits(values)
+            assert bits(plan(row[None])[0]) == bits(values)
+        assert bits(np.abs(out)) == bits(np.abs(packed_real_reference(samples)[:, bins]))
+        assert rel_error(out, np.fft.rfft(samples)[:, bins]) < 1e-12
+
+    @pytest.mark.parametrize("n", [8, 128, 512, 2048])
+    @pytest.mark.parametrize("which", ["0", "N/2", "k", "0, N/2", "k, N/2 - k", "k, k + 1"])
+    def test_one_or_two_bins_one_row_against_a_block(self, n, which):
+        """One value per row in the split's multiplies would take another numpy loop for
+        one row than for a block; the plan pads its bins to three."""
+        k = n // 8 + 1
+        bins = {"0": (0,), "N/2": (n // 2,), "k": (k,), "0, N/2": (0, n // 2),
+                "k, N/2 - k": (k, n // 2 - k), "k, k + 1": (k, k + 1)}[which]
+        plan = RealPlan(n, bins)
+        for seed in range(4):
+            samples = np.random.default_rng(seed).normal(size=(6, n)) * 100.0
+            block = plan(samples)
+            for row, values in zip(samples, block):
+                assert bits(plan(row)) == bits(values)
+                assert bits(plan(row[None])) == bits(values[None])
+            assert bits(np.abs(block)) == bits(np.abs(packed_real_reference(samples)[:, bins]))
+
+    def test_any_layout_of_the_samples(self):
+        """A row that is not contiguous is copied first; a contiguous one is read as it is."""
+        samples = np.random.default_rng(2).normal(size=(5, 128))
+        plan = RealPlan(64, (1, 7, 32))
+        expected = plan(np.ascontiguousarray(samples[:, ::2]))
+        assert bits(plan(samples[:, ::2])) == bits(expected)
+        assert bits(plan(np.asfortranarray(samples[:, ::2]))) == bits(expected)
+
+    def test_a_sample_near_the_float_maximum_does_not_overflow(self):
+        samples = np.zeros((2, 32))
+        samples[:, 7] = 1e308
+        assert np.allclose(np.abs(RealPlan(32, (0, 3, 16))(samples)), 1e308, rtol=1e-15)
+
+    @pytest.mark.parametrize("size, bins", [(64, ()), (64, (-1,)), (64, (33,)), (48, (3,)), (2, (0,))])
+    def test_rejects_bad_plans(self, size, bins):
+        with pytest.raises(ValueError):
+            RealPlan(size, bins)
+
+    @pytest.mark.parametrize("shape", [(3, 32), (32,), (2, 2, 64), (3, 65)])
+    def test_rejects_bad_shapes_and_non_finite_samples(self, shape):
+        plan = RealPlan(64, (3,))
+        with pytest.raises(ValueError, match="expected 64 samples per frame"):
+            plan(np.zeros(shape))
+        bad = np.zeros((3, 64))
+        bad[1, 5] = np.inf
+        with pytest.raises(ValueError, match="samples must all be finite"):
+            plan(bad)
 
 
 class TestMagnitude:
