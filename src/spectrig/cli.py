@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -291,6 +292,7 @@ def cmd_replica(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first main call, not at import; later calls reuse it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectrig",
