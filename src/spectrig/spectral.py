@@ -274,11 +274,10 @@ class RealPlan:
     Samples 2n and 2n + 1 are read, without a copy, as the real and imaginary
     parts of z[n]; FftPlan(N/2) gives Z at a = k mod N/2 and b = -k mod N/2, and
     one split stage (Sorensen, Jones, Heideman and Burrus 1987) gives
-    X[k] = ½(Z[a] + conj Z[b]) − ½i·W^k·(Z[a] − conj Z[b]), W = exp(−2πi/N),
-    taken as Z[a]·½(1 − iW^k) + conj Z[b]·½(1 + iW^k): each product is at most
-    |Z| in size, so a finite X never overflows on the way. Fewer than 3 bins are
-    padded with repeats of the first, so that the split's multiplies see at least
-    3 values a row (see _pruned_outputs)."""
+    X[k] = ½(Z[a] + conj Z[b]) − ½i·W^k·(Z[a] − conj Z[b]), W = exp(−2πi/N), as
+    Z[a]·½(1 − iW^k) + conj Z[b]·½(1 + iW^k), whose products are no larger than
+    |Z|. Bins are padded to 3 so that each multiply sees 3 values a row (see
+    _pruned_outputs)."""
 
     def __init__(self, size: int, bins):
         self.size, self.bins, half = size, bin_indices(bins), size // 2
@@ -294,11 +293,9 @@ class RealPlan:
 
     def __call__(self, samples) -> np.ndarray:
         """Shape (M,) for one frame, (T, M) for a (T, N) block, each row's bits its own."""
-        x = np.asarray(samples, dtype=np.float64)
+        x = np.ascontiguousarray(samples, dtype=np.float64)  # copies only rows that are not
         if x.ndim not in (1, 2) or x.shape[-1] != self.size:
             raise ValueError(f"expected {self.size} samples per frame, got shape {x.shape}")
-        if not x.flags.c_contiguous:
-            x = np.ascontiguousarray(x)
         z = self._plan(x.view(np.complex128))
         upper, lower = self._split
         spectrum = z[..., : self._count] * upper + np.conj(z[..., self._count :]) * lower
