@@ -383,7 +383,7 @@ class TestRealPlan:
             assert bits(np.abs(block)) == bits(np.abs(packed_real_reference(samples)[:, bins]))
 
     def test_any_layout_of_the_samples(self):
-        """A row that is not contiguous is copied first; a contiguous one is read as it is."""
+        """Rows that are not contiguous, strided or in Fortran order, give their copy's bits."""
         samples = np.random.default_rng(2).normal(size=(5, 128))
         plan = RealPlan(64, (1, 7, 32))
         expected = plan(np.ascontiguousarray(samples[:, ::2]))
