@@ -10,15 +10,21 @@ is every file of a short dense_bins-shaped run (N = 512, bins 56-255, 8 full
 transform stages) and of a short wide_frames-shaped run (N = 2048, bins
 37-241, every stage pruned, generation crossing the 128-frame chunk edge),
 each through the proposed, fixed and decimated detectors, the dense run's
-proposed detector with both trackers. A digest changes only with an intended
+proposed detector with both trackers. Each demo's stdout is pinned too; it
+reads the same on both float paths. A digest changes only with an intended
 byte change, named with its cause.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spectrig
 from spectrig.cli import main
 
 REPLICA_SEED_42_SHA256 = {
@@ -380,3 +386,31 @@ def test_wide_frames_float_path_independent_bytes(wide):
 def test_wide_frames_float_path_dependent_bytes(wide):
     for name, accepted in WIDE_FLOAT_SHA256.items():
         assert wide[name] in accepted, name
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+# Each demo's stdout, one digest for both float paths.
+DEMO_STDOUT_SHA256 = {
+    "01_spectral_features.py": "299c2580794246e5bb3f5c4526a15b439247783123713a6a3bc812fa51a3f5cc",
+    "02_noise_floor_tracking.py": "41b3ca271c5fb5fe46aed81e2e138e4a2d05a47b1b75742221bedf57cbb4046c",
+    "03_trigger_payloads.py": "f9b36916505d5e3adf5fe08b19aa982f9763d7d868c682242f8959c0a776b184",
+    "04_replica_experiment.py": "47e411d601b4514e78c3c208edc7e79489946657bfb41b0686c49aa08805f853",
+    "05_baseline_comparison.py": "c5f41319c61da42110cf8473bfe290841ea1644a5bdc62b7e406e49f694000fa",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(DEMO_STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT_SHA256))
+def test_demo_stdout(demo):
+    """The demo as a script, on the spectrig package these tests import."""
+    source = str(Path(spectrig.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(DEMOS / demo)], capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert hashlib.sha256(run.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo]
