@@ -6,7 +6,7 @@ transform, and shows how the feature vector isolates the tone's bin.
 
 import numpy as np
 
-from spectrig import BinSet, Frame, fft, magnitude
+from spectrig import BinSet, FftPlan, Frame, magnitude
 
 rng = np.random.default_rng(0)
 
@@ -18,7 +18,7 @@ t = np.arange(N)
 samples = 0.4 * rng.normal(size=N) + 2.0 * np.sin(2 * np.pi * TONE_BIN * t / N)
 frame = Frame(samples=samples, frame_index=0, sample_rate_hz=RATE)
 
-spectrum = fft(frame)
+spectrum = FftPlan(N)(frame.samples)
 print(f"frame of {frame.size} samples at {RATE:.0f} Hz")
 print(f"tone injected at bin {TONE_BIN} ({TONE_BIN * RATE / N:.1f} Hz)")
 

@@ -21,8 +21,8 @@ ema = EmaTracker([BIN], alpha=0.95)
 print(f"median cascade: fast window {FAST}, slow window {SLOW}")
 print("frame   input      cascade    ema")
 for t, value in enumerate(stream):
-    c = cascade.update(BIN, value)
-    e = ema.update(BIN, value)
+    c = float(cascade.update_all([value])[0])
+    e = float(ema.update_all([value])[0])
     if t in (0, 15, 29, 30, 31, 35, 59, 60, 65, 70, 79, 99):
         print(f"{t:5d}   {value:8.1f}   {c:8.2f}   {e:8.2f}")
 

@@ -4,26 +4,23 @@ Walks the multiplicative threshold test over a few magnitude/floor pairs,
 then packs a trigger into its wire payload and unpacks it again.
 """
 
-from spectrig import (
-    TriggerEvent,
-    decide_bin,
-    decide_event,
-    decode_event,
-    encode_event,
-    payload_to_bytes,
-)
+import numpy as np
+
+from spectrig import TriggerEvent, decode_event, encode_event, payload_to_bytes
+from spectrig.trigger import bins_over, frames_fired
 
 COEFFICIENT = 1.5
 
 print(f"multiplicative test: fire iff magnitude > {COEFFICIENT} * floor\n")
-cases = [(16.0, 10.0), (15.0, 10.0), (14.9, 10.0), (3.2, 2.0), (0.0, 0.0)]
+# Five bins of one frame: magnitudes and floor estimates.
+mags = np.array([16.0, 15.0, 14.9, 3.2, 0.0])
+floors = np.array([10.0, 10.0, 10.0, 2.0, 0.0])
+decisions = bins_over(mags, COEFFICIENT * floors)
 print("magnitude   floor   threshold   decision")
-for mag, floor in cases:
-    d = decide_bin(mag, floor, COEFFICIENT)
+for mag, floor, d in zip(mags, floors, decisions):
     print(f"{mag:9.1f}   {floor:5.1f}   {COEFFICIENT * floor:9.2f}   {d}")
 
-decisions = [decide_bin(m, f, COEFFICIENT) for m, f in cases]
-print(f"\nsystem event (OR over bins): {decide_event(decisions)}")
+print(f"\nsystem event (OR over bins): {frames_fired(decisions)}")
 
 # Wire format: 32-bit frame delta | 8-bit bin | 16-bit Q8.8 strength | 8 reserved
 event = TriggerEvent(frame_delta=217, bin_id=21, strength=16.0 / 10.0)

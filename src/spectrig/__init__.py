@@ -42,7 +42,7 @@ from .evaluation import (
     threshold_adaptation,
     traffic_stats,
 )
-from .noisefloor import EmaTracker, MedianBuffer, NoiseFloorState
+from .noisefloor import EmaTracker, NoiseFloorState
 from .pipeline import (
     FrameResult,
     Pipeline,
@@ -52,13 +52,11 @@ from .pipeline import (
     state_entry_count,
     state_memory_bytes,
 )
-from .spectral import BinSet, FftPlan, Frame, RealPlan, fft, magnitude
+from .spectral import BinSet, FftPlan, Frame, RealPlan, magnitude
 from .trigger import (
     PAYLOAD_BITS,
     ThresholdConfig,
     TriggerEvent,
-    decide_bin,
-    decide_event,
     decode_event,
     encode_event,
     first_firing_bin,

@@ -78,27 +78,6 @@ class MedianWindows:
         return medians
 
 
-class MedianBuffer(MedianWindows):
-    """A single window with scalar push and median."""
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self.fill_count = 0
-
-    def push(self, value: float) -> None:
-        super().push([[value]])
-        self.fill_count = min(self.fill_count + 1, self.capacity)
-
-    def median(self) -> float:
-        if self.fill_count == 0:
-            raise ValueError("median of an empty buffer")
-        return float(self.medians()[0])
-
-    def contents(self) -> np.ndarray:
-        """Copy of the filled window, oldest first."""
-        return self._history[0, self._end - self.fill_count : self._end].copy()
-
-
 class _BinTracker:
     """Per-bin estimates; subclasses supply ``_track(block)``, the update of every
     bin by a (T, M) block of frames in order, returning the (T, M) estimates after
@@ -107,12 +86,6 @@ class _BinTracker:
     def __init__(self, bins):
         self.bins = tuple(bins)
         self._estimates = np.zeros(len(self.bins))
-
-    def update(self, bin_index: int, magnitude: float) -> float:
-        """update_all for a one-bin tracker: one magnitude in, the refreshed estimate out."""
-        if self.bins != (bin_index,):
-            raise KeyError(f"bin {bin_index} is not the one bin tracked; use update_all")
-        return float(self.update_all([magnitude])[0])
 
     def update_all(self, magnitudes) -> np.ndarray:
         """Update every bin with one frame's magnitudes, shape (M,), or with a

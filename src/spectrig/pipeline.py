@@ -229,14 +229,12 @@ class Pipeline:
         """Run one frame through the detection core, as a block of one row."""
         return self._step(self._magnitudes(frame.samples[None])).frame_result(0)
 
-    def run_stream(self, samples) -> list[FrameResult]:
-        """Process a (frames, frame_size) array in order; errors carry the frame's row."""
-        return [b.frame_result(t) for b in self.process_blocks(samples) for t in range(len(b))]
-
 
 def run_stream(config: PipelineConfig, samples) -> list[FrameResult]:
-    """Convenience wrapper: fresh pipeline, a (frames, frame_size) array processed in order."""
-    return Pipeline(config).run_stream(samples)
+    """A fresh pipeline's process_blocks over a (frames, frame_size) array, one FrameResult
+    per frame; errors name the frame."""
+    blocks = Pipeline(config).process_blocks(samples)
+    return [block.frame_result(t) for block in blocks for t in range(len(block))]
 
 
 def latency_budget(

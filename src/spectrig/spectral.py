@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -300,16 +299,6 @@ class RealPlan:
         upper, lower = self._split
         spectrum = z[..., : self._count] * upper + np.conj(z[..., self._count :]) * lower
         return spectrum[..., : len(self.bins)]
-
-
-@lru_cache(maxsize=32)
-def _plan_for(size: int) -> FftPlan:
-    return FftPlan(size)
-
-
-def fft(frame: Frame) -> np.ndarray:
-    """Complex spectrum of one frame (length N, unscaled)."""
-    return _plan_for(frame.size)(frame.samples)
 
 
 def magnitude(spectrum, bins: BinSet) -> np.ndarray:

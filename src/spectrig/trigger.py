@@ -71,26 +71,6 @@ def frames_fired(decisions):
     return decisions.any(axis=-1).astype(np.int64)
 
 
-def decide_bin(magnitude, estimate, coefficient):
-    """Per-bin decision: 1 iff magnitude strictly exceeds coefficient * estimate.
-
-    Arrays broadcast (a (T, M) block against M coefficients) to int8 decisions."""
-    m, e, c = (np.asarray(v, dtype=np.float64) for v in (magnitude, estimate, coefficient))
-    if not (np.isfinite(m).all() and np.isfinite(e).all() and np.isfinite(c).all()):
-        raise ValueError("decision inputs must be finite")
-    fired = bins_over(m, c * e)
-    return int(fired) if fired.ndim == 0 else fired
-
-
-def decide_event(decisions):
-    """System-level decision: 1 iff any per-bin decision fired (per row of a block)."""
-    decisions = np.asarray(decisions)
-    if decisions.ndim == 0 or decisions.shape[-1] == 0:
-        raise ValueError("decision vector must not be empty")
-    fired = frames_fired(decisions)
-    return int(fired) if fired.ndim == 0 else fired
-
-
 def first_firing_bin(decisions) -> int | None:
     """Position of the lowest-index firing decision, or None."""
     fired = np.flatnonzero(decisions)

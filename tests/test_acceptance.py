@@ -19,7 +19,7 @@ from spectrig.baselines import (
 from spectrig.cli import main
 from spectrig.envsim import EventSpec, PhaseSpec, ScenarioConfig, generate, replica_scenario
 from spectrig.evaluation import payload_comparison, score
-from spectrig.noisefloor import MedianBuffer, NoiseFloorState
+from spectrig.noisefloor import MedianWindows, NoiseFloorState
 from spectrig.pipeline import PipelineConfig, latency_budget, run_stream
 from spectrig.spectral import BinSet, FftPlan, magnitude
 
@@ -78,29 +78,29 @@ def test_criterion_2_cascade_oracle_equivalence(fast, slow):
     rng = np.random.default_rng(fast * 1000 + slow)
     stream = rng.uniform(0.0, 100.0, size=1000).tolist()
     state = NoiseFloorState([0], fast_window=fast, slow_window=slow)
-    streaming = [state.update(0, v) for v in stream]
+    streaming = [float(state.update_all([v])[0]) for v in stream]
     assert streaming == cascade_reference(stream, fast, slow)
     _verdict(2, f"streaming cascade == recompute oracle, 1000 frames, ({fast},{slow})")
 
 
 def test_criterion_3_breakdown_property():
     # stage 1, window 3: one corrupted frame leaves the output unchanged
-    clean = MedianBuffer(3)
-    corrupted = MedianBuffer(3)
+    clean = MedianWindows(3)
+    corrupted = MedianWindows(3)
     stream = [20.0] * 60
     hit = 30
     for t, v in enumerate(stream):
-        clean.push(v)
-        corrupted.push(1e12 if t == hit else v)
-        assert corrupted.median() == clean.median() == 20.0
+        clean.push([[v]])
+        corrupted.push([[1e12 if t == hit else v]])
+        assert corrupted.medians()[0] == clean.medians()[0] == 20.0
 
     # stage 2, window 64: 31 consecutive corrupted inputs leave the output unchanged
-    stage2 = MedianBuffer(64)
+    stage2 = MedianWindows(64)
     for _ in range(64):
-        stage2.push(20.0)
+        stage2.push([[20.0]])
     for _ in range(31):
-        stage2.push(1e12)
-        assert stage2.median() == 20.0
+        stage2.push([[1e12]])
+        assert stage2.medians()[0] == 20.0
     _verdict(3, "1 corrupted frame (window 3) and 31 consecutive (window 64) absorbed exactly")
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spectrig import noisefloor
-from spectrig.noisefloor import EmaTracker, MedianBuffer, MedianWindows, NoiseFloorState
+from spectrig.noisefloor import EmaTracker, MedianWindows, NoiseFloorState
 
 from oracles import cascade_reference, ema_reference, sorted_median
 
@@ -19,66 +19,64 @@ finite_floats = st.floats(
 )
 
 
-def filled_buffer(values, capacity=None) -> MedianBuffer:
-    buf = MedianBuffer(capacity or len(values))
+def filled_buffer(values, capacity=None) -> MedianWindows:
+    buf = MedianWindows(capacity or len(values))
     for v in values:
-        buf.push(v)
+        buf.push([[v]])
     return buf
 
 
 class TestMedianBuffer:
+    """One row of MedianWindows, pushed one value at a time."""
+
     def test_constant_window(self):
-        assert filled_buffer([5.0, 5.0, 5.0]).median() == 5.0
+        assert filled_buffer([5.0, 5.0, 5.0]).medians()[0] == 5.0
 
     def test_outlier_rejection(self):
         values = [1.0, 2.0, 3.0, 4.0, 100.0]
         buf = filled_buffer(values)
-        assert buf.median() == sorted_median(values) == 3.0
+        assert buf.medians()[0] == sorted_median(values) == 3.0
 
     def test_two_corrupted_of_five_leave_constant_median(self):
         clean = filled_buffer([7.0] * 5)
         corrupted = filled_buffer([7.0, 7.0, 7.0, 1e18, 1e18])
-        assert corrupted.median() == clean.median() == 7.0
-
-    def test_empty_buffer_raises(self):
-        with pytest.raises(ValueError):
-            MedianBuffer(3).median()
+        assert corrupted.medians()[0] == clean.medians()[0] == 7.0
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
-            MedianBuffer(0)
+            MedianWindows(0)
 
     def test_capacity_above_the_bound(self):
         with pytest.raises(ValueError, match="65536"):
-            MedianBuffer(noisefloor.MAX_WINDOW + 1)
+            MedianWindows(noisefloor.MAX_WINDOW + 1)
 
     def test_partial_fill_uses_filled_portion(self):
-        buf = MedianBuffer(5)
-        buf.push(4.0)
-        assert buf.median() == 4.0
-        buf.push(9.0)
+        buf = MedianWindows(5)
+        buf.push([[4.0]])
+        assert buf.medians()[0] == 4.0
+        buf.push([[9.0]])
         # even count selects the upper middle
-        assert buf.median() == 9.0
+        assert buf.medians()[0] == 9.0
 
     def test_eviction_order(self):
         buf = filled_buffer([1.0, 2.0, 3.0], capacity=3)
-        buf.push(10.0)  # evicts 1.0 -> window {2, 3, 10}
-        assert buf.median() == 3.0
+        buf.push([[10.0]])  # evicts 1.0 -> window {2, 3, 10}
+        assert buf.medians()[0] == 3.0
 
     def test_median_does_not_mutate_contents(self):
         buf = filled_buffer([3.0, 1.0, 2.0])
-        before = buf.contents()
-        buf.median()
-        assert np.array_equal(buf.contents(), before)
+        before = buf._history.copy()
+        buf.medians()
+        assert np.array_equal(buf._history, before)
 
     @given(st.lists(finite_floats, min_size=1, max_size=40))
     def test_matches_full_sort_oracle(self, values):
         buf = filled_buffer(values)
-        assert buf.median() == sorted_median(values)
+        assert buf.medians()[0] == sorted_median(values)
 
     @given(st.lists(finite_floats, min_size=1, max_size=40))
     def test_median_is_a_selected_sample(self, values):
-        assert filled_buffer(values).median() in values
+        assert filled_buffer(values).medians()[0] in values
 
     @given(st.integers(min_value=1, max_value=41), finite_floats)
     def test_upward_breakdown_bound_is_exact(self, capacity, base):
@@ -86,10 +84,10 @@ class TestMedianBuffer:
         one more flips it."""
         tolerated = (capacity - 1) // 2
         window = [base] * (capacity - tolerated) + [1e30] * tolerated
-        assert filled_buffer(window).median() == base
+        assert filled_buffer(window).medians()[0] == base
         if base < 1e30:
             window = [base] * (capacity - tolerated - 1) + [1e30] * (tolerated + 1)
-            assert filled_buffer(window).median() == 1e30
+            assert filled_buffer(window).medians()[0] == 1e30
 
 
 class TestNoiseFloorState:
@@ -98,15 +96,15 @@ class TestNoiseFloorState:
             state = NoiseFloorState([1], fast_window=fast, slow_window=slow)
             estimate = None
             for _ in range(fast + slow):
-                estimate = state.update(1, 42.5)
+                estimate = float(state.update_all([42.5])[0])
             assert estimate == 42.5
-            assert state.update(1, 42.5) == 42.5
+            assert float(state.update_all([42.5])[0]) == 42.5
 
     def test_single_frame_spike_never_moves_estimate(self):
         stream = [10.0] * 200
         stream[120] = 10_000.0
         state = NoiseFloorState([0], fast_window=3, slow_window=64)
-        estimates = [state.update(0, v) for v in stream]
+        estimates = [float(state.update_all([v])[0]) for v in stream]
         assert all(e == 10.0 for e in estimates)
         assert estimates == cascade_reference(stream, 3, 64)
 
@@ -115,7 +113,7 @@ class TestNoiseFloorState:
         step_at = 40
         stream = [5.0] * step_at + [9.0] * 60
         state = NoiseFloorState([0], fast_window=fast, slow_window=slow)
-        estimates = [state.update(0, v) for v in stream]
+        estimates = [float(state.update_all([v])[0]) for v in stream]
         assert estimates == cascade_reference(stream, fast, slow)
         assert estimates[step_at + fast + slow] == 9.0
         assert all(e == 9.0 for e in estimates[step_at + fast + slow :])
@@ -125,7 +123,7 @@ class TestNoiseFloorState:
         rng = np.random.default_rng(fast * 100 + slow)
         stream = rng.uniform(0.0, 50.0, size=600).tolist()
         state = NoiseFloorState([2], fast_window=fast, slow_window=slow)
-        estimates = [state.update(2, v) for v in stream]
+        estimates = [float(state.update_all([v])[0]) for v in stream]
         assert estimates == cascade_reference(stream, fast, slow)
 
     def test_stage1_breakdown_on_constant_baseline(self):
@@ -135,20 +133,20 @@ class TestNoiseFloorState:
         corrupted[50] = 1e9
         state_a = NoiseFloorState([0], fast_window=3, slow_window=64)
         state_b = NoiseFloorState([0], fast_window=3, slow_window=64)
-        out_a = [state_a.update(0, v) for v in clean]
-        out_b = [state_b.update(0, v) for v in corrupted]
+        out_a = [float(state_a.update_all([v])[0]) for v in clean]
+        out_b = [float(state_b.update_all([v])[0]) for v in corrupted]
         assert out_a == out_b
 
     def test_stage2_breakdown_on_constant_baseline(self):
         # slow window 64 with the upper-middle rule tolerates 31 corrupted inputs
-        buf = MedianBuffer(64)
+        buf = MedianWindows(64)
         for _ in range(64):
-            buf.push(20.0)
+            buf.push([[20.0]])
         for _ in range(31):
-            buf.push(1e9)
-            assert buf.median() == 20.0
-        buf.push(1e9)  # the 32nd flips it
-        assert buf.median() == 1e9
+            buf.push([[1e9]])
+            assert buf.medians()[0] == 20.0
+        buf.push([[1e9]])  # the 32nd flips it
+        assert buf.medians()[0] == 1e9
 
     @given(
         st.lists(
@@ -164,7 +162,7 @@ class TestNoiseFloorState:
         stage1_series = []
         estimates = []
         for v in stream:
-            estimates.append(state.update(0, v))
+            estimates.append(float(state.update_all([v])[0]))
             stage1_series.append(float(state.stage1.medians()[0]))
         assert all(b >= a for a, b in zip(stage1_series, stage1_series[1:]))
         assert all(b >= a for a, b in zip(estimates, estimates[1:]))
@@ -172,28 +170,23 @@ class TestNoiseFloorState:
     def test_idempotent_on_constant_contents(self):
         state = NoiseFloorState([0], fast_window=4, slow_window=9)
         for _ in range(30):
-            assert state.update(0, 3.5) == 3.5
+            assert float(state.update_all([3.5])[0]) == 3.5
 
     def test_estimate_is_always_an_inserted_stage1_output(self):
         rng = np.random.default_rng(5)
         state = NoiseFloorState([0], fast_window=3, slow_window=8)
         stage1_seen = set()
         for v in rng.uniform(0, 10, size=300):
-            estimate = state.update(0, float(v))
+            estimate = float(state.update_all([float(v)])[0])
             stage1_seen.add(float(state.stage1.medians()[0]))
             assert estimate in stage1_seen
-
-    def test_unknown_bin(self):
-        state = NoiseFloorState([1, 2])
-        with pytest.raises(KeyError):
-            state.update(3, 1.0)
 
     def test_invalid_magnitude(self):
         state = NoiseFloorState([1])
         with pytest.raises(ValueError):
-            state.update(1, -1.0)
+            state.update_all([-1.0])
         with pytest.raises(ValueError):
-            state.update(1, float("nan"))
+            state.update_all([float("nan")])
 
     def test_window_bounds(self):
         with pytest.raises(ValueError):
@@ -368,12 +361,12 @@ class TestEmaTracker:
 
     def test_seeds_with_first_magnitude(self):
         tracker = EmaTracker([0], alpha=0.9)
-        assert tracker.update(0, 12.0) == 12.0
+        assert float(tracker.update_all([12.0])[0]) == 12.0
 
     def test_recursion(self):
         tracker = EmaTracker([0], alpha=0.95)
-        tracker.update(0, 10.0)
-        assert tracker.update(0, 30.0) == pytest.approx(0.95 * 10.0 + 0.05 * 30.0)
+        tracker.update_all([10.0])
+        assert float(tracker.update_all([30.0])[0]) == pytest.approx(0.95 * 10.0 + 0.05 * 30.0)
 
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):
@@ -384,7 +377,7 @@ class TestEmaTracker:
     def test_converges_toward_constant(self):
         tracker = EmaTracker([0], alpha=0.9)
         estimate = 0.0
-        tracker.update(0, 0.0)
+        tracker.update_all([0.0])
         for _ in range(400):
-            estimate = tracker.update(0, 8.0)
+            estimate = float(tracker.update_all([8.0])[0])
         assert estimate == pytest.approx(8.0, rel=1e-9)

@@ -16,32 +16,31 @@ from spectrig.trigger import (
     PAYLOAD_BITS,
     ThresholdConfig,
     TriggerEvent,
-    decide_bin,
-    decide_event,
+    bins_over,
     decode_event,
     encode_event,
     first_firing_bin,
+    frames_fired,
     payload_from_bytes,
     payload_to_bytes,
 )
 
 
+def decide(magnitude, estimate, coefficient) -> int:
+    """bins_over on one bin, its floor taken as the detector takes it: coefficient * estimate."""
+    return int(bins_over(np.array([magnitude]), coefficient * np.array([estimate]))[0])
+
+
 class TestDecideBin:
     def test_fires_above_threshold(self):
-        assert decide_bin(16.0, 10.0, 1.5) == 1
+        assert decide(16.0, 10.0, 1.5) == 1
 
     def test_strict_inequality_at_boundary(self):
-        assert decide_bin(15.0, 10.0, 1.5) == 0
+        assert decide(15.0, 10.0, 1.5) == 0
 
     def test_zero_floor_zero_magnitude(self):
-        assert decide_bin(0.0, 0.0, 1.5) == 0
-        assert decide_bin(0.0, 0.0, 1.0) == 0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            decide_bin(float("nan"), 1.0, 1.5)
-        with pytest.raises(ValueError):
-            decide_bin(1.0, float("inf"), 1.5)
+        assert decide(0.0, 0.0, 1.5) == 0
+        assert decide(0.0, 0.0, 1.0) == 0
 
     @given(
         st.floats(min_value=0.0, max_value=1e6),
@@ -50,8 +49,8 @@ class TestDecideBin:
         st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_scale_invariance(self, magnitude, estimate, coefficient, scale):
-        base = decide_bin(magnitude, estimate, coefficient)
-        scaled = decide_bin(magnitude * scale, estimate * scale, coefficient)
+        base = decide(magnitude, estimate, coefficient)
+        scaled = decide(magnitude * scale, estimate * scale, coefficient)
         # Strict scale invariance holds when rounding does not graze the boundary.
         if abs(magnitude - coefficient * estimate) > 1e-9 * (1 + magnitude):
             assert base == scaled
@@ -63,7 +62,7 @@ class TestDecideBin:
     )
     def test_monotone_in_magnitude(self, estimate, low, high):
         low, high = min(low, high), max(low, high)
-        assert decide_bin(low, estimate, 1.5) <= decide_bin(high, estimate, 1.5)
+        assert decide(low, estimate, 1.5) <= decide(high, estimate, 1.5)
 
 
 class TestBlockDecisions:
@@ -73,40 +72,30 @@ class TestBlockDecisions:
         estimates = rng.uniform(0.0, 20.0, size=(50, 6))
         coefficients = np.array([1.0, 1.25, 1.5, 1.5, 1.75, 2.0])
         mags[7, 2] = 1.5 * estimates[7, 2]  # exactly on the threshold: not strictly above
-        decisions = decide_bin(mags, estimates, coefficients)
+        decisions = bins_over(mags, coefficients * estimates)
         assert decisions.shape == (50, 6)
         expected = [
-            [decide_bin(m, e, c) for m, e, c in zip(mags[t], estimates[t], coefficients)]
+            [decide(m, e, c) for m, e, c in zip(mags[t], estimates[t], coefficients)]
             for t in range(50)
         ]
         assert decisions.tolist() == expected
         assert decisions[7, 2] == 0
-        assert decide_event(decisions).tolist() == [decide_event(row) for row in expected]
-
-    def test_block_rejects_non_finite(self):
-        estimates = np.ones((3, 2))
-        estimates[1, 0] = np.inf
-        with pytest.raises(ValueError):
-            decide_bin(np.ones((3, 2)), estimates, np.ones(2))
+        assert frames_fired(decisions).tolist() == [frames_fired(np.array(row)) for row in expected]
 
     def test_empty_block_has_no_events(self):
-        assert decide_event(np.zeros((0, 4), dtype=np.int8)).shape == (0,)
+        assert frames_fired(np.zeros((0, 4), dtype=np.int8)).shape == (0,)
 
 
 class TestDecideEvent:
     def test_trivial_vectors(self):
-        assert decide_event([0, 0, 0]) == 0
-        assert decide_event([0, 1, 0]) == 1
-        assert decide_event([1, 1, 1]) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            decide_event([])
+        assert frames_fired(np.array([0, 0, 0])) == 0
+        assert frames_fired(np.array([0, 1, 0])) == 1
+        assert frames_fired(np.array([1, 1, 1])) == 1
 
     @pytest.mark.parametrize("width", range(1, 9))
     def test_exhaustive_or_equivalence(self, width):
         for pattern in itertools.product((0, 1), repeat=width):
-            assert decide_event(pattern) == (1 if any(pattern) else 0)
+            assert frames_fired(np.array(pattern)) == (1 if any(pattern) else 0)
             expected_first = next((i for i, d in enumerate(pattern) if d), None)
             assert first_firing_bin(pattern) == expected_first
 
