@@ -219,22 +219,26 @@ def _write_csv(path, header, rows, lineterminator="\r\n", row_format=None) -> No
 def _read_csv(path, decode, header=None) -> tuple[list[str], list]:
     """A UTF-8 CSV file's header and decode(fields) of each row after it. An empty file, a
     header other than ``header`` (if given), a row with another field count than the header
-    or a row decode rejects is a ValueError naming the file (and line)."""
+    or a row decode rejects is a ValueError naming the file (and line), as is text that is
+    not UTF-8."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        names = next(reader, None)
-        if names is None:
-            raise ValueError(f"{path}: empty file, expected a header line")
-        if header is not None and names != header:
-            raise ValueError(f"{path}: expected the header {','.join(header)}, got {','.join(names)}")
-        rows = []
-        for row in reader:
-            try:
-                if len(row) != len(names):
-                    raise ValueError(f"expected the header's {len(names)} fields, got {len(row)}")
-                rows.append(decode(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
+        try:
+            names = next(reader, None)
+            if names is None:
+                raise ValueError(f"{path}: empty file, expected a header line")
+            if header is not None and names != header:
+                raise ValueError(f"{path}: expected the header {','.join(header)}, got {','.join(names)}")
+            rows = []
+            for row in reader:
+                try:
+                    if len(row) != len(names):
+                        raise ValueError(f"expected the header's {len(names)} fields, got {len(row)}")
+                    rows.append(decode(row))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # raised by the reads of the header and of the rows
+            raise ValueError(f"{path}: {exc}") from exc
     return names, rows
 
 
@@ -319,10 +323,15 @@ def _encode(table, obj) -> dict:
     return {key: encode(v) for key, name, _, encode in table if (v := getattr(obj, name)) is not None}
 
 
-def _decode(cls, table, data):
-    """A cls from the JSON object ``data``; any error is a ValueError naming the JSON key."""
+def _decode(cls, table, data, legacy=()):
+    """A cls from the JSON object ``data``; any error is a ValueError naming the JSON key.
+    A key neither in the table nor ``legacy`` (read by the caller) is an error."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, got {data!r:.40}")
+    known = {row[0] for row in table}.union(legacy)
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ValueError(f"{cls.__name__}: unknown field {unknown[0]!r}")
     required = {f.name for f in fields(cls) if f.default is MISSING}
     kwargs = {}
     for key, name, decode, _ in table:
@@ -385,7 +394,7 @@ pipeline_config_to_dict = partial(_encode, _PIPELINE)
 
 
 def pipeline_config_from_dict(data: dict) -> PipelineConfig:
-    config = _decode(PipelineConfig, _PIPELINE, data)
+    config = _decode(PipelineConfig, _PIPELINE, data, legacy=("threshold",))
     if "threshold" in data and "threshold_coefficients" not in data:  # the legacy scalar key
         thresholds = ThresholdConfig.uniform(_real(data["threshold"]), len(config.bins))
         config = replace(config, thresholds=thresholds)

@@ -441,6 +441,26 @@ class TestErrors:
         assert stderr.startswith("error:") and name in stderr and expected in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_csv_that_is_not_utf8_names_its_file(self, replica_dir, tmp_path, capsys, where):
+        """A byte that is not UTF-8, in the header or in a row, is an error line naming the file."""
+        lines = (replica_dir / "truth.csv").read_bytes().splitlines(keepends=True)
+        at = 0 if where == "header" else len(lines) // 2
+        lines[at] = lines[at][:2] + b"\xff" + lines[at][2:]
+        truth = tmp_path / "truth.csv"
+        truth.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        assert main([
+            "eval",
+            "--events", str(replica_dir / "events.csv"),
+            "--truth", str(truth),
+            "--scenario", str(replica_dir / "scenario.json"),
+            "--out-dir", str(out),
+        ]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {truth}: ") and "can't decode byte 0xff" in stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("frame", [99999, -5])
     def test_event_frame_outside_the_stream(self, replica_dir, tmp_path, capsys, frame):
         """An event frame no confusion cell or phase can count is an error naming it, not an
@@ -510,6 +530,20 @@ class TestErrors:
         assert main(args + ["--out-dir", str(out)]) == 2
         stderr = capsys.readouterr().err
         assert stderr.startswith(f"error: {document}: ") and "field 'warmup_frames'" in stderr
+        assert not out.exists()
+
+    def test_scenario_as_detect_config_is_rejected(self, replica_dir, tmp_path, capsys):
+        """A scenario file passed as the pipeline config: its scenario-only keys are unknown
+        there, so detect stops with an error line naming the file and the first such key (the
+        file's keys are sorted), not with a pipeline of defaults."""
+        document = replica_dir / "scenario.json"
+        out = tmp_path / "out"
+        assert main([
+            "detect", "--frames", str(replica_dir / "frames.bin"), "--config", str(document),
+            "--out-dir", str(out),
+        ]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {document}: PipelineConfig: unknown field 'events'")
         assert not out.exists()
 
     def test_replica_generation_failure_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):

@@ -397,6 +397,25 @@ class TestConfigs:
         with pytest.raises(ValueError, match="missing field"):
             io.load_scenario(path)
 
+    @pytest.mark.parametrize("table", ["scenario", "phase", "ramp", "events", "pipeline"])
+    def test_misspelt_key_names_the_file_and_key(self, tmp_path, table):
+        """A key outside its table is an error, not a field left at its default."""
+        scenario = io.scenario_to_dict(replica_scenario(42))
+        pipeline = {"frame_size": 128, "sample_rate_hz": 1000.0, "bins": [3, 9], "slow_window": 16}
+        document, right, key = {
+            "scenario": (scenario, "warmup_frames", "warmup_frame"),
+            "phase": (scenario["phases"][0], "events", "event"),
+            "ramp": (scenario["phases"][1]["ramp"], "end", "stop"),
+            "events": (scenario["events"], "min_gap_frames", "min_gap"),
+            "pipeline": (pipeline, "slow_window", "slow_windw"),
+        }[table]
+        document[key] = document.pop(right)
+        path = tmp_path / f"{table}.json"
+        io.dump_json(path, pipeline if table == "pipeline" else scenario)
+        load = io.load_pipeline_config if table == "pipeline" else io.load_scenario
+        with pytest.raises(ValueError, match=f"^{path}: .*unknown field '{key}'$"):
+            load(path)
+
 
 _LEVELS = st.floats(0.0, 1e6)
 
