@@ -36,8 +36,8 @@ proposed = score([r.frame_index for r in results if r.event], truth, total, warm
 plan = FftPlan(scenario.frame_size)
 mags = np.vstack([magnitude(plan(row), scenario.bins) for row in samples])
 quiet = scenario.phases[0].frame_count
-fixed_config = calibrate_fixed_thresholds(mags[:quiet])
-fixed_flags = fixed_spectral_detector(mags, fixed_config)
+fixed_thresholds = calibrate_fixed_thresholds(mags[:quiet])
+fixed_flags = fixed_spectral_detector(replica_pipeline_config(scenario), fixed_thresholds).decide(mags).events
 fixed = score(np.flatnonzero(fixed_flags), truth, total, warmup)
 
 # --- baseline A: decimated time-domain adaptive threshold ---

@@ -16,7 +16,6 @@ import types
 
 from .baselines import (
     DecimationConfig,
-    FixedThresholdConfig,
     calibrate_fixed_thresholds,
     decimated_adaptive_detector,
     fixed_spectral_detector,

@@ -9,31 +9,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class FixedThresholdConfig:
-    """Constant per-bin magnitude thresholds, never adapted."""
-
-    thresholds: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        thresholds = tuple(float(t) for t in self.thresholds)
-        if not thresholds:
-            raise ValueError("at least one threshold is required")
-        if any(not math.isfinite(t) or t <= 0 for t in thresholds):
-            raise ValueError("thresholds must be finite and > 0")
-        object.__setattr__(self, "thresholds", thresholds)
-
-    @classmethod
-    def uniform(cls, threshold: float, count: int) -> "FixedThresholdConfig":
-        return cls(thresholds=(threshold,) * count)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.thresholds, dtype=np.float64)
+from .noisefloor import FixedFloor
+from .pipeline import Pipeline, PipelineConfig
+from .trigger import ThresholdConfig
 
 
 @dataclass(frozen=True)
@@ -62,26 +44,20 @@ def magnitude_matrix(features) -> np.ndarray:
     return mags
 
 
-def calibrate_fixed_thresholds(features, sigma_multiple: float = 3.0) -> FixedThresholdConfig:
-    """Mean + k*sigma per bin over a calibration stretch of features."""
+def calibrate_fixed_thresholds(features, sigma_multiple: float = 3.0) -> np.ndarray:
+    """Mean + k*sigma per bin over a calibration stretch of features, as a (bins,) array."""
     mags = magnitude_matrix(features)
     if mags.size == 0:
         raise ValueError("calibration requires at least one frame of features")
-    thresholds = mags.mean(axis=0) + sigma_multiple * mags.std(axis=0)
-    return FixedThresholdConfig(thresholds=tuple(float(t) for t in thresholds))
+    return mags.mean(axis=0) + sigma_multiple * mags.std(axis=0)
 
 
-def fixed_spectral_detector(features, config: FixedThresholdConfig) -> np.ndarray:
-    """Event flag per frame: 1 iff any bin magnitude exceeds its constant threshold."""
-    mags = magnitude_matrix(features)
-    if mags.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    thresholds = config.as_array()
-    if mags.shape[1] != thresholds.size:
-        raise ValueError(
-            f"feature width {mags.shape[1]} does not match {thresholds.size} thresholds"
-        )
-    return (mags > thresholds).any(axis=1).astype(np.int64)
+def fixed_spectral_detector(config: PipelineConfig, thresholds) -> Pipeline:
+    """The detection core on a FixedFloor of the calibrated ``thresholds``, with coefficient 1
+    and no warm-up: a frame fires iff a bin magnitude exceeds its constant threshold. Run it
+    with ``decide`` on magnitudes, or on samples like any Pipeline."""
+    fixed = replace(config, thresholds=ThresholdConfig.uniform(1.0, len(config.bins)), warmup_frames=0)
+    return Pipeline(fixed, FixedFloor(config.bins, thresholds))
 
 
 def frame_rms(samples):

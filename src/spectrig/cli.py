@@ -22,7 +22,7 @@ from .baselines import (
 )
 from .envsim import GENERATOR_ID, ScenarioConfig, SyntheticStream, replica_scenario
 from .evaluation import PHASE_COLUMNS, build_metrics, payload_comparison
-from .pipeline import Pipeline, PipelineConfig
+from .pipeline import BlockResult, Pipeline, PipelineConfig
 from .trigger import TriggerEvent, encode_event
 
 
@@ -57,7 +57,7 @@ def _run_proposed(chunks, config: PipelineConfig):
             feature, margin = block.magnitudes[t, pos], block.margins[t, pos]
             rms = frame_rms(chunk[start : start + len(block)])
             parts.append((rms, feature, feature - margin, margin, block.events))
-            rows += [_event_row(int(i), r) for i, r in zip(block.frame_indices, block.records) if r]
+            rows += _event_rows(block)
             start += len(block)
         # One array per column and chunk: arrays per block would add ~150 bytes each.
         columns.append(tuple(map(np.concatenate, zip(*parts))))
@@ -71,45 +71,36 @@ def _event_row(frame: int, event: TriggerEvent) -> io.EventRow:
     return io.EventRow(frame, event.frame_delta, event.bin_id, event.strength, encode_event(event))
 
 
-def _rows_from_flags(frames_fired, bins, strengths):
-    """Delta-encode a plain flag stream into event rows."""
-    deltas = np.diff(frames_fired, prepend=0).tolist()
-    return [
-        _event_row(frame, TriggerEvent(frame_delta=delta, bin_id=bin_id, strength=strength))
-        for frame, delta, bin_id, strength in zip(frames_fired, deltas, bins, strengths)
-    ]
+def _event_rows(block: BlockResult) -> list[io.EventRow]:
+    """The rows of a block's fired frames."""
+    return [_event_row(int(i), r) for i, r in zip(block.frame_indices, block.records) if r]
 
 
 def _run_fixed(chunks, config: PipelineConfig, calib_frames: int, frame_count: int):
-    """Calibrate on the stream's first ``calib_frames`` magnitude rows, then threshold the
-    (non-empty) chunks in turn: past calibration, a chunk's magnitudes are dropped once read."""
+    """Calibrate on the stream's first ``calib_frames`` magnitude rows, then decide the
+    (non-empty) chunks in turn: past calibration, a chunk's magnitudes are dropped once decided."""
     if calib_frames < 1 or calib_frames > frame_count:
         raise ValueError("--calib-frames must be within the frame stream")
-    pipeline, held, fixed = Pipeline(config), [], None
-    found, seen = [], 0
+    pipeline, held, detector, rows = Pipeline(config), [], None, []
     for chunk in chunks:
         held += pipeline.magnitude_blocks(chunk)
         del chunk  # released before the next chunk is read
-        if fixed is None and sum(map(len, held)) < calib_frames:
+        if detector is None and sum(map(len, held)) < calib_frames:
             continue
         mags, held = np.concatenate(held), []
-        if fixed is None:
-            fixed = calibrate_fixed_thresholds(mags[:calib_frames])
-            thresholds = fixed.as_array()
-        rows = np.flatnonzero(fixed_spectral_detector(mags, fixed))
-        pos = np.argmax(mags[rows] > thresholds, axis=1)  # first bin over its threshold
-        found.append((rows + seen, pos, mags[rows, pos] / thresholds[pos]))
-        seen += len(mags)
-    fired, pos, strengths = map(np.concatenate, zip(*found))
-    bins = np.asarray(config.bins.bins)[pos]
-    return _rows_from_flags(fired.tolist(), bins.tolist(), strengths.tolist())
+        if detector is None:
+            try:
+                detector = fixed_spectral_detector(config, calibrate_fixed_thresholds(mags[:calib_frames]))
+            except ValueError as exc:
+                raise ValueError(f"--calib-frames {calib_frames}: calibrated {exc}") from exc
+        rows += _event_rows(detector.decide(mags))
+    return rows
 
 
 def _run_decimated(chunks, decimation: DecimationConfig):
-    flags = decimated_adaptive_detector(chunks, decimation)
-    fired = np.flatnonzero(flags).tolist()
-    # Time-domain detector: no spectral bin to report.
-    return _rows_from_flags(fired, [0] * len(fired), [0.0] * len(fired))
+    fired = np.flatnonzero(decimated_adaptive_detector(chunks, decimation)).tolist()
+    # Time-domain detector: no spectral bin to report, so bin and strength are 0.
+    return [_event_row(t, TriggerEvent(t - last, 0, 0.0)) for t, last in zip(fired, [0] + fired)]
 
 
 def _score_into(out_dir, event_frames, truth, **layout) -> dict:

@@ -40,29 +40,31 @@ FRAMES_MAGIC = b"STFR"
 FRAMES_VERSION = 1
 MAX_FRAME_SIZE = 0xFFFF  # the header's u16 frame-size field
 _HEADER = struct.Struct("<4sHHfI")
+_RATE = struct.Struct("<f")  # the header's sample-rate field
 
 
-def pack_header(frame_size: int, sample_rate_hz: float, frame_count: int) -> bytes:
-    """The container header, once every field is checked to fit its slot.
-
-    A ValueError here says the container cannot hold the stream, before
-    anything is made on disk.
-    """
+def check_container_format(frame_size: int, sample_rate_hz: float) -> None:
+    """check_frame_format, and that the header holds both exactly: N in its u16 field and
+    the rate as its f32. The config decoders and pack_header call this."""
     check_frame_format(frame_size, sample_rate_hz)
     if frame_size > MAX_FRAME_SIZE:
         raise ValueError(f"frame size {frame_size} above the container limit {MAX_FRAME_SIZE}")
-    if not 0 < frame_count <= 0xFFFFFFFF:
-        raise ValueError(f"a container holds 1 to {0xFFFFFFFF} frames, got {frame_count}")
     try:
-        header = _HEADER.pack(FRAMES_MAGIC, FRAMES_VERSION, frame_size, sample_rate_hz, frame_count)
+        (stored,) = _RATE.unpack(_RATE.pack(sample_rate_hz))
     except OverflowError as exc:  # a finite rate beyond the f32 range
         raise ValueError(f"sample rate {sample_rate_hz} does not fit the container: {exc}") from exc
-    stored = _HEADER.unpack(header)[3]
     if stored != sample_rate_hz:
         raise ValueError(
             f"sample rate {sample_rate_hz} Hz is not exact as the container's f32 (reads back as {stored})"
         )
-    return header
+
+
+def pack_header(frame_size: int, sample_rate_hz: float, frame_count: int) -> bytes:
+    """The container header, once every field is checked to fit its slot, before anything is on disk."""
+    check_container_format(frame_size, sample_rate_hz)
+    if not 0 < frame_count <= 0xFFFFFFFF:
+        raise ValueError(f"a container holds 1 to {0xFFFFFFFF} frames, got {frame_count}")
+    return _HEADER.pack(FRAMES_MAGIC, FRAMES_VERSION, frame_size, sample_rate_hz, frame_count)
 
 
 class FrameWriter:
@@ -323,15 +325,18 @@ def _encode(table, obj) -> dict:
     return {key: encode(v) for key, name, _, encode in table if (v := getattr(obj, name)) is not None}
 
 
-def _decode(cls, table, data, legacy=()):
+def _decode(cls, table, data, legacy=(), exclusive=()):
     """A cls from the JSON object ``data``; any error is a ValueError naming the JSON key.
-    A key neither in the table nor ``legacy`` (read by the caller) is an error."""
+    A key neither in the table nor ``legacy`` (read by the caller) is an error, and so are
+    the two ``exclusive`` keys together, as one of them would go unused."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, got {data!r:.40}")
     known = {row[0] for row in table}.union(legacy)
     unknown = [key for key in data if key not in known]
     if unknown:
         raise ValueError(f"{cls.__name__}: unknown field {unknown[0]!r}")
+    if exclusive and all(key in data for key in exclusive):
+        raise ValueError(f"{cls.__name__}: fields {exclusive[0]!r} and {exclusive[1]!r} exclude each other")
     required = {f.name for f in fields(cls) if f.default is MISSING}
     kwargs = {}
     for key, name, decode, _ in table:
@@ -369,7 +374,8 @@ _SCENARIO = (
     ("bins", "bins", *_BINS),
     ("warmup_frames", "warmup_frames", *_INT),
     ("magnitude_jitter", "magnitude_jitter", *_REAL),
-    ("phases", "phases", lambda data: _items(data, partial(_decode, PhaseSpec, _PHASE)),
+    ("phases", "phases",
+     lambda data: _items(data, partial(_decode, PhaseSpec, _PHASE, exclusive=("ramp", "level"))),
      lambda phases: [_encode(_RAMPED_PHASE if p.ramp else _PHASE, p) for p in phases]),
     ("events", "events", partial(_decode, EventSpec, _EVENTS), partial(_encode, _EVENTS)),
 )
@@ -389,13 +395,20 @@ _PIPELINE = (
 
 
 scenario_to_dict = partial(_encode, _SCENARIO)
-scenario_from_dict = partial(_decode, ScenarioConfig, _SCENARIO)
 pipeline_config_to_dict = partial(_encode, _PIPELINE)
 
 
+def scenario_from_dict(data: dict) -> ScenarioConfig:
+    scenario = _decode(ScenarioConfig, _SCENARIO, data)
+    check_container_format(scenario.frame_size, scenario.sample_rate_hz)
+    return scenario
+
+
 def pipeline_config_from_dict(data: dict) -> PipelineConfig:
-    config = _decode(PipelineConfig, _PIPELINE, data, legacy=("threshold",))
-    if "threshold" in data and "threshold_coefficients" not in data:  # the legacy scalar key
+    config = _decode(PipelineConfig, _PIPELINE, data, legacy=("threshold",),
+                     exclusive=("threshold", "threshold_coefficients"))
+    check_container_format(config.frame_size, config.sample_rate_hz)
+    if "threshold" in data:  # the legacy scalar key
         thresholds = ThresholdConfig.uniform(_real(data["threshold"]), len(config.bins))
         config = replace(config, thresholds=thresholds)
     return config

@@ -1,4 +1,4 @@
-"""Temporal noise-floor trackers: dual-stage cascaded median and an EMA variant."""
+"""Temporal noise-floor trackers: dual-stage cascaded median, an EMA variant and a fixed floor."""
 
 from __future__ import annotations
 
@@ -154,3 +154,18 @@ class EmaTracker(_BinTracker):
                 estimate, self._seeded = magnitudes, True
             estimates[t] = estimate
         return estimates
+
+
+class FixedFloor(_BinTracker):
+    """Constant per-bin estimates, never adapted: the fixed baseline's calibrated thresholds."""
+
+    def __init__(self, bins, thresholds):
+        super().__init__(bins)
+        self.thresholds = np.asarray(thresholds, dtype=np.float64)
+        if self.thresholds.shape != (len(self.bins),):
+            raise ValueError(f"expected {len(self.bins)} thresholds, got shape {self.thresholds.shape}")
+        if not (np.isfinite(self.thresholds) & (self.thresholds > 0)).all():
+            raise ValueError("thresholds must be finite and > 0")
+
+    def _track(self, block):
+        return np.broadcast_to(self.thresholds, block.shape)

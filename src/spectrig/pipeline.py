@@ -113,7 +113,8 @@ class BlockResult:
 
 
 class Pipeline:
-    """Stateful detector: owns the transform plan and the floor tracker.
+    """Stateful detector: owns the transform plan and the floor tracker (``tracker``, a
+    noisefloor tracker of config.bins, or else the one config.tracker names).
 
     One instance per simulated node; process frames strictly in order.
     Analysis of frame t never depends on frame t+1, so sequential
@@ -122,13 +123,14 @@ class Pipeline:
     latency budget, see latency_budget).
     """
 
-    def __init__(self, config: PipelineConfig):
+    def __init__(self, config: PipelineConfig, tracker=None):
         self.config = config
         self._plan = RealPlan(config.frame_size, config.bins)  # the monitored bins only
-        if config.tracker == TRACKER_EMA:
-            self._tracker = EmaTracker(config.bins, alpha=config.ema_alpha)
-        else:
-            self._tracker = NoiseFloorState(config.bins, config.fast_window, config.slow_window)
+        if tracker is None and config.tracker == TRACKER_EMA:
+            tracker = EmaTracker(config.bins, alpha=config.ema_alpha)
+        elif tracker is None:
+            tracker = NoiseFloorState(config.bins, config.fast_window, config.slow_window)
+        self._tracker = tracker
         self._coefficients = config.thresholds.as_array()
         self._block_rows = max(1, BLOCK_SAMPLES // config.frame_size)
         # A span, transformed at once: the most whole blocks, up to one chunk, whose (rows, bins)
@@ -159,7 +161,7 @@ class Pipeline:
         error path, the frames of the failed span before the bad one are yielded
         as one-row results, not as blocks.
         """
-        return self._blocks(samples, self._step)
+        return self._blocks(samples, self.decide)
 
     def magnitude_blocks(self, samples) -> Iterator[np.ndarray]:
         """The core's first layer alone: each block's (rows, bins) magnitudes, with no
@@ -199,13 +201,14 @@ class Pipeline:
         self._frames_processed += len(mags)
         return mags
 
-    def _step(self, mags: np.ndarray) -> BlockResult:
-        """Floor and decision on a span's, or one row's, magnitudes; raises before changing any state.
+    def decide(self, mags: np.ndarray) -> BlockResult:
+        """Floor and decision on the (rows, bins) magnitudes of the frames after the last one
+        processed; raises before changing any state.
 
         Each input is checked once: samples by the transform, magnitudes by the
-        tracker. The estimates are selected from, or averaged over, checked
-        magnitudes, and ThresholdConfig checked the coefficients, so the decision
-        runs unchecked on the one floor computed here."""
+        tracker. The estimates are selected from or averaged over checked magnitudes,
+        or are checked fixed thresholds, and ThresholdConfig checked the coefficients,
+        so the decision runs unchecked on the one floor computed here."""
         first = self._frames_processed
         estimates = self._tracker.update_all(mags)
         floor = self._coefficients * estimates
@@ -227,7 +230,7 @@ class Pipeline:
 
     def process_frame(self, frame: Frame) -> FrameResult:
         """Run one frame through the detection core, as a block of one row."""
-        return self._step(self._magnitudes(frame.samples[None])).frame_result(0)
+        return self.decide(self._magnitudes(frame.samples[None])).frame_result(0)
 
 
 def run_stream(config: PipelineConfig, samples) -> list[FrameResult]:

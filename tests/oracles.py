@@ -140,6 +140,32 @@ def naive_pipeline_events(
     return events
 
 
+def naive_fixed_events(frames, bins, calib_frames: int) -> list[tuple]:
+    """(frame, delta, bin, strength, payload) of every frame the fixed-threshold baseline fires.
+
+    Magnitudes are numpy's rfft bins; each bin's threshold is mean + 3 sigma of
+    its first ``calib_frames`` magnitudes. A frame fires when any magnitude
+    exceeds its threshold; the event's bin is the first such bin, its strength
+    magnitude / threshold, its delta the frames since the previous event (from
+    frame 0 for the first), and its payload delta | bin << 32 | the strength in
+    Q8.8, saturating at 0xFFFF, << 40.
+    """
+    bins = [int(k) for k in bins]
+    mags = np.abs(np.fft.rfft(np.asarray(frames, dtype=np.float64), axis=1)[:, bins])
+    calib = mags[:calib_frames]
+    thresholds = calib.mean(axis=0) + 3.0 * calib.std(axis=0)
+    events, last = [], 0
+    for t, row in enumerate(mags):
+        over = [i for i in range(len(bins)) if row[i] > thresholds[i]]
+        if not over:
+            continue
+        strength = float(row[over[0]] / thresholds[over[0]])
+        raw = 0xFFFF if strength * 256 > 0xFFFF else round(strength * 256)
+        events.append((t, t - last, bins[over[0]], strength, (t - last) | bins[over[0]] << 32 | raw << 40))
+        last = t
+    return events
+
+
 def whole_stream_reference(scenario):
     """A scenario's samples and (start, end, bin) events, drawn for the whole stream at once.
 

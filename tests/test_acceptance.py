@@ -16,7 +16,7 @@ from spectrig.baselines import (
     decimated_adaptive_detector,
     fixed_spectral_detector,
 )
-from spectrig.cli import main
+from spectrig.cli import main, replica_pipeline_config
 from spectrig.envsim import EventSpec, PhaseSpec, ScenarioConfig, generate, replica_scenario
 from spectrig.evaluation import payload_comparison, score
 from spectrig.noisefloor import MedianWindows, NoiseFloorState
@@ -170,7 +170,7 @@ def test_criterion_7_baseline_ordering(replica_run):
         [magnitude(plan(row), scenario.bins) for row in samples]
     )
     fixed = calibrate_fixed_thresholds(mags[: scenario.phases[0].frame_count])
-    flags = fixed_spectral_detector(mags, fixed)
+    flags = fixed_spectral_detector(replica_pipeline_config(scenario), fixed).decide(mags).events
     fixed_cm = score(
         np.flatnonzero(flags), truth, scenario.total_frames, scenario.warmup_frames
     )

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
+from spectrig import io
 from spectrig.baselines import (
     DecimationConfig,
-    FixedThresholdConfig,
     calibrate_fixed_thresholds,
     decimated_adaptive_detector,
     fixed_spectral_detector,
     frame_rms,
 )
+from spectrig.cli import main
 from spectrig.envsim import EventSpec, PhaseSpec, Ramp, ScenarioConfig, generate
+from spectrig.noisefloor import FixedFloor
 from spectrig.pipeline import PipelineConfig, run_stream
-from spectrig.spectral import BinSet, FftPlan, magnitude
+from spectrig.spectral import BinSet, FftPlan, chunk_rows, magnitude
+
+from oracles import naive_fixed_events
 
 
 def three_phase_scenario(seed=21) -> ScenarioConfig:
@@ -33,6 +37,13 @@ def three_phase_scenario(seed=21) -> ScenarioConfig:
     )
 
 
+def fixed_flags(mags, thresholds):
+    """The fixed detector's per-frame event flags over a (frames, bins) magnitude array."""
+    mags = np.asarray(mags, dtype=np.float64)
+    config = PipelineConfig(frame_size=64, sample_rate_hz=500.0, bins=BinSet((3, 9, 14)[: mags.shape[1]]))
+    return fixed_spectral_detector(config, thresholds).decide(mags).events
+
+
 def features_of(samples, bins):
     plan = FftPlan(samples.shape[1])
     return np.vstack([magnitude(plan(row), bins) for row in samples])
@@ -41,34 +52,34 @@ def features_of(samples, bins):
 class TestFixedThreshold:
     def test_all_below_threshold(self):
         mags = np.full((10, 3), 2.0)
-        flags = fixed_spectral_detector(mags, FixedThresholdConfig.uniform(5.0, 3))
+        flags = fixed_flags(mags, [5.0] * 3)
         assert flags.sum() == 0
 
     def test_huge_threshold_never_fires(self):
         rng = np.random.default_rng(0)
         mags = rng.uniform(0, 100, size=(50, 3))
-        flags = fixed_spectral_detector(mags, FixedThresholdConfig.uniform(1e12, 3))
+        flags = fixed_flags(mags, [1e12] * 3)
         assert flags.sum() == 0
 
     def test_fires_on_exceedance(self):
         mags = np.array([[1.0, 1.0], [1.0, 9.0]])
-        flags = fixed_spectral_detector(mags, FixedThresholdConfig.uniform(5.0, 2))
+        flags = fixed_flags(mags, [5.0] * 2)
         assert flags.tolist() == [0, 1]
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            fixed_spectral_detector(np.zeros((4, 3)), FixedThresholdConfig.uniform(1.0, 2))
+            fixed_flags(np.zeros((4, 3)), [1.0] * 2)
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
-            FixedThresholdConfig((0.0,))
+            FixedFloor((3,), (0.0,))
 
     def test_calibrated_on_quiet_phase_false_alarms_when_noise_rises(self):
         scenario = three_phase_scenario()
         frames, truth = generate(scenario)
         mags = features_of(frames, scenario.bins)
         fixed = calibrate_fixed_thresholds(mags[:300])
-        flags = fixed_spectral_detector(mags, fixed)
+        flags = fixed_flags(mags, fixed)
         event_frames = {t for iv in truth for t in range(iv.start_frame, iv.end_frame)}
         false_positives = [
             t
@@ -93,6 +104,52 @@ class TestFixedThreshold:
             if r.event and r.frame_index not in event_frames
         ]
         assert proposed_fp == []
+
+
+ORACLE_SIZE = 1024
+ORACLE_CHUNK = chunk_rows(ORACLE_SIZE)  # the CLI reads frames.bin this many frames at a time
+
+
+class TestFixedDetectorOracle:
+    @pytest.mark.parametrize(
+        "calib_frames", [1, ORACLE_CHUNK + ORACLE_CHUNK // 2, 3 * ORACLE_CHUNK],
+        ids=["one-frame", "mid-chunk", "all-frames"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_detect_rows_match_the_oracle(self, tmp_path, seed, calib_frames):
+        """`detect --detector fixed` over three chunks gives the oracle's events: frame,
+        delta, bin and payload exactly, and the strength to rounding."""
+        bins = (37, 101, 173)
+        scenario = ScenarioConfig(
+            seed=seed,
+            frame_size=ORACLE_SIZE,
+            sample_rate_hz=8000.0,
+            bins=BinSet(bins),
+            phases=(
+                PhaseSpec("low", ORACLE_CHUNK, broadband_level=10.0, event_count=6),
+                PhaseSpec("ramp", ORACLE_CHUNK, ramp=Ramp(10.0, 50.0), event_count=3),
+                PhaseSpec("high", ORACLE_CHUNK, broadband_level=50.0, event_count=4),
+            ),
+            events=EventSpec(target_bins=bins, amplitude_ratio=6.0),
+            warmup_frames=0,
+        )
+        frames, _ = generate(scenario)
+        io.write_frames(tmp_path / "frames.bin", frames, scenario.sample_rate_hz)
+        io.dump_json(
+            tmp_path / "pipeline.json",
+            {"frame_size": ORACLE_SIZE, "sample_rate_hz": scenario.sample_rate_hz, "bins": list(bins)},
+        )
+        assert main([
+            "detect", "--frames", str(tmp_path / "frames.bin"), "--config", str(tmp_path / "pipeline.json"),
+            "--detector", "fixed", "--calib-frames", str(calib_frames), "--out-dir", str(tmp_path / "out"),
+        ]) == 0
+        rows = io.read_events(tmp_path / "out" / "events.csv")
+        expected = naive_fixed_events(frames, bins, calib_frames)
+        assert expected
+        assert [(r.frame, r.frame_delta, r.bin, r.payload) for r in rows] == [
+            (frame, delta, bin_id, payload) for frame, delta, bin_id, _, payload in expected
+        ]
+        assert [r.strength for r in rows] == pytest.approx([e[3] for e in expected], rel=1e-12)
 
 
 class TestDecimatedDetector:

@@ -219,6 +219,22 @@ class TestBaselineDetectors:
         assert row.strength > 1e306
         assert (row.payload >> 40) & 0xFFFF == 0xFFFF
 
+    def test_all_zero_calibration_is_an_error_line(self, tmp_path, capsys):
+        """Mean + 3 sigma over all-zero frames is a zero threshold: an error line that names
+        --calib-frames, and no out-dir."""
+        io.write_frames(tmp_path / "frames.bin", np.zeros((20, 128)), 1000.0)
+        out = tmp_path / "out"
+        assert main([
+            "detect",
+            "--frames", str(tmp_path / "frames.bin"),
+            "--detector", "fixed",
+            "--calib-frames", "5",
+            "--out-dir", str(out),
+        ]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: --calib-frames 5:") and "> 0" in stderr
+        assert not out.exists()
+
     def test_decimated_detector_runs(self, replica_dir, tmp_path):
         det_dir = tmp_path / "decimated"
         assert main([
@@ -281,7 +297,7 @@ class TestErrors:
         def no_frames_expected(self, frames):
             raise AssertionError("a frame was processed")
 
-        monkeypatch.setattr(pipeline_module.Pipeline, "_step", no_frames_expected)
+        monkeypatch.setattr(pipeline_module.Pipeline, "decide", no_frames_expected)
         out = tmp_path / "out"
         assert main([
             "detect",
@@ -312,7 +328,7 @@ class TestErrors:
         out = tmp_path / "out"
         assert main(["generate", "--config", str(tmp_path / "scenario.json"), "--out-dir", str(out)]) == 2
         stderr = capsys.readouterr().err
-        assert stderr.startswith("error: sample rate 44100.3") and "f32" in stderr
+        assert stderr.startswith(f"error: {tmp_path / 'scenario.json'}: sample rate 44100.3") and "f32" in stderr
         assert not out.exists()
 
     def test_rejected_container_header_makes_no_out_dir(self, replica_dir, tmp_path, capsys):
@@ -325,6 +341,37 @@ class TestErrors:
         out = tmp_path / "out"
         assert main(["generate", "--config", str(tmp_path / "scenario.json"), "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["threshold-beside-coefficients", "level-on-a-ramp"])
+    def test_a_key_that_would_go_unused_is_an_error_line(self, replica_dir, tmp_path, capsys, case):
+        config = tmp_path / "config.json"
+        if case == "threshold-beside-coefficients":
+            document = {**read_json(replica_dir / "pipeline.json"), "threshold": 1.9}
+            args = ["detect", "--frames", str(replica_dir / "frames.bin"), "--config", str(config)]
+            keys = ("'threshold'", "'threshold_coefficients'")
+        else:
+            document = read_json(replica_dir / "scenario.json")
+            document["phases"][1]["level"] = 40.0  # the transition phase, a ramp
+            args = ["generate", "--config", str(config)]
+            keys = ("'ramp'", "'level'")
+        io.dump_json(config, document)
+        out = tmp_path / "out"
+        assert main(args + ["--out-dir", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {config}: ") and all(key in stderr for key in keys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, match", [("frame_size", 131072, "65535"), ("sample_rate_hz", 1000.1, "f32")])
+    def test_pipeline_config_the_container_cannot_hold(self, replica_dir, tmp_path, capsys, field, value, match):
+        config = tmp_path / "pipeline.json"
+        io.dump_json(config, {**read_json(replica_dir / "pipeline.json"), field: value})
+        out = tmp_path / "out"
+        assert main([
+            "detect", "--frames", str(replica_dir / "frames.bin"), "--config", str(config), "--out-dir", str(out),
+        ]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {config}: ") and match in stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "detect", "eval"])

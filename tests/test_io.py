@@ -7,7 +7,7 @@ import math
 import struct
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from io import StringIO
 from unittest import mock
 
@@ -417,6 +417,45 @@ class TestConfigs:
             load(path)
 
 
+    @pytest.mark.parametrize("kind", ["scenario", "pipeline"])
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("frame_size", 131072, "65535"), ("sample_rate_hz", 1000.1, "1000.1 Hz is not exact as the container's f32")],
+        ids=["frame-size", "rate"],
+    )
+    def test_both_decoders_reject_what_the_container_cannot_hold(self, tmp_path, kind, field, value, match):
+        """A frame size above the header's u16 or a rate its f32 changes is an error naming
+        the file, in both config decoders, as it is in pack_header."""
+        if kind == "scenario":
+            document = io.scenario_to_dict(replace(replica_scenario(42), **{field: value}))
+        else:
+            document = {"frame_size": 128, "sample_rate_hz": 1000.0, "bins": [3, 9], field: value}
+        path = tmp_path / f"{kind}.json"
+        io.dump_json(path, document)
+        load = io.load_pipeline_config if kind == "pipeline" else io.load_scenario
+        with pytest.raises(ValueError, match=f"^{path}: .*{match}"):
+            load(path)
+        with pytest.raises(ValueError, match=match):
+            io.pack_header(document["frame_size"], document["sample_rate_hz"], 1)
+
+    def test_threshold_beside_its_coefficients_is_an_error(self, tmp_path):
+        path = tmp_path / "pipeline.json"
+        io.dump_json(path, {
+            "frame_size": 64, "sample_rate_hz": 500.0, "bins": [3, 9],
+            "threshold": 1.9, "threshold_coefficients": [1.2, 1.2],
+        })
+        with pytest.raises(ValueError, match=f"^{path}: .*'threshold' and 'threshold_coefficients'"):
+            io.load_pipeline_config(path)
+
+    def test_level_on_a_ramped_phase_is_an_error(self, tmp_path):
+        document = io.scenario_to_dict(replica_scenario(42))
+        document["phases"][1]["level"] = 40.0  # the transition phase, 40 -> 200
+        path = tmp_path / "scenario.json"
+        io.dump_json(path, document)
+        with pytest.raises(ValueError, match=f"^{path}: .*'ramp' and 'level'"):
+            io.load_scenario(path)
+
+
 _LEVELS = st.floats(0.0, 1e6)
 
 
@@ -434,7 +473,7 @@ def scenarios(draw) -> ScenarioConfig:
     return ScenarioConfig(
         seed=draw(st.integers(0, 10**30)),
         frame_size=frame_size,
-        sample_rate_hz=draw(st.floats(1e-3, 1e9)),
+        sample_rate_hz=draw(st.floats(2.0**-10, 1e9, width=32)),
         bins=BinSet(tuple(bins)),
         phases=tuple(draw(st.lists(phase, min_size=1, max_size=3))),
         events=EventSpec(
@@ -456,7 +495,7 @@ def pipeline_configs(draw) -> PipelineConfig:
     window = st.lists(st.floats(-1e6, 1e6), min_size=frame_size, max_size=frame_size).map(np.array)
     return PipelineConfig(
         frame_size=frame_size,
-        sample_rate_hz=draw(st.floats(1e-3, 1e9)),
+        sample_rate_hz=draw(st.floats(2.0**-10, 1e9, width=32)),
         bins=BinSet(tuple(bins)),
         fast_window=draw(st.integers(1, 500)),
         slow_window=draw(st.integers(1, 500)),
