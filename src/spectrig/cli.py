@@ -37,33 +37,25 @@ def replica_pipeline_config(scenario: ScenarioConfig, tracker: str = "median") -
     )
 
 
-_SERIES_COLUMNS = ("rms", "feature", "threshold", "margin", "event")
-
-
-def _run_proposed(chunks, config: PipelineConfig):
-    """Run one pipeline over a stream of (rows, N) sample chunks; return (event rows, series columns).
-
-    The series shows, per frame, the bin with the largest margin. It is
-    built block by block, so no (frames, bins) array is kept.
-    """
+def _run_proposed(chunks, config: PipelineConfig, frame_count: int):
+    """Run one pipeline over ``frame_count`` frames in (rows, N) sample chunks; return (event
+    rows, series columns). The series shows, per frame, the bin with the largest margin; each
+    block writes its frames into stream-length columns, so no (frames, bins) array is kept."""
     pipeline = Pipeline(config)
-    # An empty column set first, so that an empty stream still gets every column.
-    rows, columns = [], [(np.empty(0),) * 4 + (np.zeros(0, np.int64),)]
+    rms, feature, margin = np.empty((3, frame_count))
+    event, rows = np.zeros(frame_count, np.int64), []
     for chunk in chunks:
-        parts, start = [], 0
+        first = pipeline.frames_processed  # the chunk's first frame in the stream
         for block in pipeline.process_blocks(chunk):
-            t = np.arange(len(block))
+            at, t = block.frame_indices, np.arange(len(block))
             pos = np.argmax(block.margins, axis=1)
-            feature, margin = block.magnitudes[t, pos], block.margins[t, pos]
-            rms = frame_rms(chunk[start : start + len(block)])
-            parts.append((rms, feature, feature - margin, margin, block.events))
+            feature[at], margin[at] = block.magnitudes[t, pos], block.margins[t, pos]
+            rms[at] = frame_rms(chunk[at[0] - first : at[-1] + 1 - first])  # a view, not a copy
+            event[at] = block.events
             rows += _event_rows(block)
-            start += len(block)
-        # One array per column and chunk: arrays per block would add ~150 bytes each.
-        columns.append(tuple(map(np.concatenate, zip(*parts))))
         del chunk  # released before the next chunk is made
-    series = {"frame": np.arange(pipeline.frames_processed, dtype=np.int64)}
-    series.update(zip(_SERIES_COLUMNS, map(np.concatenate, zip(*columns))))
+    series = {"frame": np.arange(frame_count, dtype=np.int64), "rms": rms, "feature": feature}
+    series.update(threshold=feature - margin, margin=margin, event=event)
     return rows, series
 
 
@@ -77,23 +69,28 @@ def _event_rows(block: BlockResult) -> list[io.EventRow]:
 
 
 def _run_fixed(chunks, config: PipelineConfig, calib_frames: int, frame_count: int):
-    """Calibrate on the stream's first ``calib_frames`` magnitude rows, then decide the
-    (non-empty) chunks in turn: past calibration, a chunk's magnitudes are dropped once decided."""
+    """Calibrate on the stream's first ``calib_frames`` magnitude rows and decide the chunks
+    held that far at once; then stream every later chunk through the detector's
+    process_blocks, which holds no magnitudes past a span."""
     if calib_frames < 1 or calib_frames > frame_count:
         raise ValueError("--calib-frames must be within the frame stream")
-    pipeline, held, detector, rows = Pipeline(config), [], None, []
-    for chunk in chunks:
+    chunks, pipeline, held = iter(chunks), Pipeline(config), []
+    for chunk in chunks:  # breaks once calibrated: the later chunks stay in the iterator
         held += pipeline.magnitude_blocks(chunk)
         del chunk  # released before the next chunk is read
-        if detector is None and sum(map(len, held)) < calib_frames:
-            continue
-        mags, held = np.concatenate(held), []
-        if detector is None:
-            try:
-                detector = fixed_spectral_detector(config, calibrate_fixed_thresholds(mags[:calib_frames]))
-            except ValueError as exc:
-                raise ValueError(f"--calib-frames {calib_frames}: calibrated {exc}") from exc
-        rows += _event_rows(detector.decide(mags))
+        if sum(map(len, held)) >= calib_frames:
+            break
+    mags, held = np.concatenate(held), None
+    try:
+        detector = fixed_spectral_detector(config, calibrate_fixed_thresholds(mags[:calib_frames]))
+    except ValueError as exc:
+        raise ValueError(f"--calib-frames {calib_frames}: calibrated {exc}") from exc
+    rows = _event_rows(detector.decide(mags))
+    del mags  # released before the next chunk is read
+    for chunk in chunks:
+        for block in detector.process_blocks(chunk):
+            rows += _event_rows(block)
+        del chunk  # released before the next chunk is read
     return rows
 
 
@@ -214,7 +211,7 @@ def cmd_detect(args) -> int:
     with io.FrameReader(args.frames) as frames:
         config = _resolve_pipeline_config(args, frames.frame_size, frames.sample_rate_hz)
         if args.detector == "proposed":
-            rows, series = _run_proposed(frames.blocks(), config)
+            rows, series = _run_proposed(frames.blocks(), config, frames.frame_count)
         elif args.detector == "fixed":
             rows = _run_fixed(frames.blocks(), config, args.calib_frames, frames.frame_count)
         else:  # decimated, the parser's one other choice
@@ -252,7 +249,7 @@ def cmd_replica(args) -> int:
     config = replica_pipeline_config(scenario, tracker=args.tracker)
     # One pass: each chunk goes to the detector once it is appended to frames.bin.
     truth, (rows, series) = _generate_into(
-        args.out_dir, scenario, lambda chunks: _run_proposed(chunks, config)
+        args.out_dir, scenario, lambda chunks: _run_proposed(chunks, config, scenario.total_frames)
     )
     out_dir = _write_detection(args.out_dir, config, rows, series)
     layout = {**_scenario_layout(scenario), "threshold_series": series["threshold"]}

@@ -111,9 +111,10 @@ ORACLE_CHUNK = chunk_rows(ORACLE_SIZE)  # the CLI reads frames.bin this many fra
 
 
 class TestFixedDetectorOracle:
+    # At the chunk edge, calibration ends on a chunk boundary: no frame is held past it.
     @pytest.mark.parametrize(
-        "calib_frames", [1, ORACLE_CHUNK + ORACLE_CHUNK // 2, 3 * ORACLE_CHUNK],
-        ids=["one-frame", "mid-chunk", "all-frames"],
+        "calib_frames", [1, ORACLE_CHUNK, ORACLE_CHUNK + ORACLE_CHUNK // 2, 3 * ORACLE_CHUNK],
+        ids=["one-frame", "chunk-edge", "mid-chunk", "all-frames"],
     )
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_detect_rows_match_the_oracle(self, tmp_path, seed, calib_frames):

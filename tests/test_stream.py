@@ -214,6 +214,21 @@ class TestBoundedHeap:
         assert len(io.read_events(dense_streams / "fixed4096" / "events.csv")) > 4096 // 2
         assert large <= 1.1 * small
 
+    def test_fixed_detect_holds_no_more_than_proposed(self, dense_streams):
+        """The fixed detector holds magnitudes only until its calibration stretch has
+        arrived, then streams the rest through the core as the proposed detector does: on
+        200 bins, its heap peak is at most the proposed detector's on the same container."""
+        def detect(detector):
+            return heap_peak([
+                "detect", "--frames", str(dense_streams / "frames4096.bin"),
+                "--config", str(dense_streams / "pipeline.json"), *DETECT_ARGS[detector],
+                "--out-dir", str(dense_streams / f"{detector}_peak"),
+            ])
+
+        for detector in ("fixed", "proposed_median"):  # warm-up: plans and caches of both
+            detect(detector)
+        assert detect("fixed") <= detect("proposed_median")
+
 
 class TestBadFrameMidStream:
     @pytest.mark.parametrize("detector", DETECTORS)
