@@ -91,7 +91,5 @@ def run_seed(work, seed: int) -> dict:
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_events_and_counts_are_pinned(tmp_path, capsys, seed):
-    figures = run_seed(tmp_path, seed)
-    capsys.readouterr()  # eval's metrics documents
-    assert figures == {name: PINS[seed, name] for name in DETECTORS}
+def test_events_and_counts_are_pinned(tmp_path, seed):
+    assert run_seed(tmp_path, seed) == {name: PINS[seed, name] for name in DETECTORS}
