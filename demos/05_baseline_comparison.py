@@ -10,7 +10,6 @@ detector catches everything with zero false alarms.
 import numpy as np
 
 from spectrig import (
-    DecimationConfig,
     calibrate_fixed_thresholds,
     decimated_adaptive_detector,
     fixed_spectral_detector,
@@ -41,7 +40,7 @@ fixed_flags = fixed_spectral_detector(replica_pipeline_config(scenario), fixed_t
 fixed = score(np.flatnonzero(fixed_flags), truth, total, warmup)
 
 # --- baseline A: decimated time-domain adaptive threshold ---
-decimated_flags = decimated_adaptive_detector(samples, DecimationConfig(decimation_factor=4))
+decimated_flags = decimated_adaptive_detector(samples, 4)
 decimated = score(np.flatnonzero(decimated_flags), truth, total, warmup)
 
 print("detector                     TP    FP    FN      TN")

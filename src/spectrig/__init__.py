@@ -15,7 +15,6 @@ Library layout:
 import types
 
 from .baselines import (
-    DecimationConfig,
     calibrate_fixed_thresholds,
     decimated_adaptive_detector,
     fixed_spectral_detector,

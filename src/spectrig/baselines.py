@@ -7,9 +7,8 @@ does, which is exactly what the comparison is meant to expose.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,21 +17,10 @@ from .pipeline import Pipeline, PipelineConfig
 from .trigger import ThresholdConfig
 
 
-@dataclass(frozen=True)
-class DecimationConfig:
-    """Every D-th frame is inspected in the time domain; the rest are skipped."""
-
-    decimation_factor: int = 4
-    threshold_ratio: float = 1.2
-    alpha: float = 0.95
-
-    def __post_init__(self) -> None:
-        if self.decimation_factor < 1:
-            raise ValueError("decimation_factor must be >= 1")
-        if self.threshold_ratio <= 0 or not math.isfinite(self.threshold_ratio):
-            raise ValueError("threshold_ratio must be finite and > 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+# The decimated detector's rule: a frame fires when its RMS exceeds THRESHOLD_RATIO times the
+# baseline, a single-pole tracker with coefficient ALPHA.
+THRESHOLD_RATIO = 1.2
+ALPHA = 0.95
 
 
 def magnitude_matrix(features) -> np.ndarray:
@@ -66,7 +54,7 @@ def frame_rms(samples):
     return float(rms) if rms.ndim == 0 else rms
 
 
-def decimated_adaptive_detector(samples, config: DecimationConfig) -> np.ndarray:
+def decimated_adaptive_detector(samples, decimation_factor: int) -> np.ndarray:
     """Time-domain envelope detector that only looks at every D-th frame.
 
     The amplitude baseline is a single-pole tracker over the RMS of the
@@ -77,7 +65,9 @@ def decimated_adaptive_detector(samples, config: DecimationConfig) -> np.ndarray
     stream in order; the inspected frames are every D-th of the stream,
     across chunk edges.
     """
-    step = config.decimation_factor
+    if decimation_factor < 1:
+        raise ValueError("decimation_factor must be >= 1")
+    step = decimation_factor
     chunks = samples if isinstance(samples, Iterator) else [np.asarray(samples)]
     inspected_rms, total = [], 0
     for chunk in filter(len, chunks):
@@ -91,6 +81,6 @@ def decimated_adaptive_detector(samples, config: DecimationConfig) -> np.ndarray
         if baseline is None:
             baseline = rms
             continue
-        flags[i * step] = rms > config.threshold_ratio * baseline
-        baseline = config.alpha * baseline + (1.0 - config.alpha) * rms
+        flags[i * step] = rms > THRESHOLD_RATIO * baseline
+        baseline = ALPHA * baseline + (1.0 - ALPHA) * rms
     return flags

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import io
 from .baselines import (
-    DecimationConfig,
     calibrate_fixed_thresholds,
     decimated_adaptive_detector,
     fixed_spectral_detector,
@@ -69,24 +68,27 @@ def _event_rows(block: BlockResult) -> list[io.EventRow]:
 
 
 def _run_fixed(chunks, config: PipelineConfig, calib_frames: int, frame_count: int):
-    """Calibrate on the stream's first ``calib_frames`` magnitude rows and decide the chunks
-    held that far at once; then stream every later chunk through the detector's
-    process_blocks, which holds no magnitudes past a span."""
+    """Calibrate on the stream's first ``calib_frames`` magnitude rows, taken from the detection
+    core so that every row is checked, and decide the blocks held that far one by one; then
+    stream every later chunk through the detector's process_blocks, which holds no magnitudes
+    past a span."""
     if calib_frames < 1 or calib_frames > frame_count:
         raise ValueError("--calib-frames must be within the frame stream")
     chunks, pipeline, held = iter(chunks), Pipeline(config), []
     for chunk in chunks:  # breaks once calibrated: the later chunks stay in the iterator
-        held += pipeline.magnitude_blocks(chunk)
+        held += (block.magnitudes for block in pipeline.process_blocks(chunk))
         del chunk  # released before the next chunk is read
         if sum(map(len, held)) >= calib_frames:
             break
-    mags, held = np.concatenate(held), None
     try:
-        detector = fixed_spectral_detector(config, calibrate_fixed_thresholds(mags[:calib_frames]))
+        thresholds = calibrate_fixed_thresholds(np.concatenate(held)[:calib_frames])
+        detector = fixed_spectral_detector(config, thresholds)
     except ValueError as exc:
         raise ValueError(f"--calib-frames {calib_frames}: calibrated {exc}") from exc
-    rows = _event_rows(detector.decide(mags))
-    del mags  # released before the next chunk is read
+    rows = []
+    for mags in held:
+        rows += _event_rows(detector.decide(mags))
+    del held, mags  # released before the next chunk is read
     for chunk in chunks:
         for block in detector.process_blocks(chunk):
             rows += _event_rows(block)
@@ -94,8 +96,8 @@ def _run_fixed(chunks, config: PipelineConfig, calib_frames: int, frame_count: i
     return rows
 
 
-def _run_decimated(chunks, decimation: DecimationConfig):
-    fired = np.flatnonzero(decimated_adaptive_detector(chunks, decimation)).tolist()
+def _run_decimated(chunks, decimation_factor: int):
+    fired = np.flatnonzero(decimated_adaptive_detector(chunks, decimation_factor)).tolist()
     # Time-domain detector: no spectral bin to report, so bin and strength are 0.
     return [_event_row(t, TriggerEvent(t - last, 0, 0.0)) for t, last in zip(fired, [0] + fired)]
 
@@ -211,11 +213,11 @@ def cmd_detect(args) -> int:
     with io.FrameReader(args.frames) as frames:
         config = _resolve_pipeline_config(args, frames.frame_size, frames.sample_rate_hz)
         if args.detector == "proposed":
-            rows, series = _run_proposed(frames.blocks(), config, frames.frame_count)
+            rows, series = _run_proposed(frames.chunks(), config, frames.frame_count)
         elif args.detector == "fixed":
-            rows = _run_fixed(frames.blocks(), config, args.calib_frames, frames.frame_count)
+            rows = _run_fixed(frames.chunks(), config, args.calib_frames, frames.frame_count)
         else:  # decimated, the parser's one other choice
-            rows = _run_decimated(frames.blocks(), DecimationConfig(decimation_factor=args.decimation))
+            rows = _run_decimated(frames.chunks(), args.decimation)
     out_dir = _write_detection(args.out_dir, config, rows, series)
     print(f"detector={args.detector} events={len(rows)} -> {out_dir}")
     return 0

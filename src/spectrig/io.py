@@ -154,7 +154,7 @@ class FrameReader:
     def __exit__(self, *exc) -> None:
         self._fh.close()
 
-    def blocks(self) -> Iterator[np.ndarray]:
+    def chunks(self) -> Iterator[np.ndarray]:
         """The stream in order, as (rows, N) arrays of chunk_rows(N) frames."""
         rows = chunk_rows(self.frame_size)
         for start in range(0, self.frame_count, rows):

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,7 +14,6 @@ from .trigger import (
     ThresholdConfig,
     TriggerEvent,
     bins_over,
-    first_firing_bin,
     frames_fired,
 )
 
@@ -99,7 +97,10 @@ class BlockResult:
 
     def __getitem__(self, rows: slice) -> BlockResult:
         """The results of a slice of the rows: views of the arrays, and their records."""
-        return BlockResult(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return BlockResult(
+            self.frame_indices[rows], self.magnitudes[rows], self.estimates[rows],
+            self.margins[rows], self.events[rows], self.records[rows],
+        )
 
     def frame_result(self, t: int) -> FrameResult:
         return FrameResult(
@@ -156,35 +157,23 @@ class Pipeline:
         names the frame at fault by its index, and every frame before it has
         been processed.
 
-        The work runs a span of several blocks at a time (see _blocks), so a
-        span is processed in full before its first block is yielded. On the
-        error path, the frames of the failed span before the bad one are yielded
-        as one-row results, not as blocks.
+        The work runs a span of several blocks at a time, so a span is processed
+        in full before its first block is yielded. A span that raises has changed
+        no state: it is redone row by row to name the bad frame (a row alone gives
+        its bits in the span), and the frames before that one come out as one-row
+        results, not as blocks.
         """
-        return self._blocks(samples, self.decide)
-
-    def magnitude_blocks(self, samples) -> Iterator[np.ndarray]:
-        """The core's first layer alone: each block's (rows, bins) magnitudes, with no
-        floor update and no decision. Blocks, frame indices and errors are those of
-        process_blocks; a detector that needs only the magnitudes runs this."""
-        return self._blocks(samples, self._counted_magnitudes)
-
-    def _blocks(self, samples, step) -> Iterator:
-        """``step`` once per span on the span's magnitudes, its result handed out as block
-        slices once the whole span has passed. A span whose step raises changed no state; it
-        is redone row by row, to name the bad frame, and the rows before that frame come out
-        as one-row results."""
         samples, size = np.asarray(samples, dtype=np.float64), self.config.frame_size
         if samples.size and (samples.ndim != 2 or samples.shape[1] != size):
             raise ValueError(f"expected (frames, {size}) samples, got shape {samples.shape}")
         for start in range(0, len(samples), self._span_rows):
             span = samples[start : start + self._span_rows]
             try:
-                result = step(self._magnitudes(span))
+                result = self.decide(self._magnitudes(span))
             except ValueError:
-                for row in span:  # a row alone gives its bits in the span: if none fails, done
+                for row in span:
                     try:
-                        yield step(self._magnitudes(row[None]))
+                        yield self.decide(self._magnitudes(row[None]))
                     except ValueError as exc:
                         raise ValueError(f"frame {self._frames_processed}: {exc}") from exc
             else:
@@ -196,10 +185,6 @@ class Pipeline:
         if self.config.window is not None:
             samples = samples * self.config.window
         return np.abs(self._plan(samples))
-
-    def _counted_magnitudes(self, mags: np.ndarray) -> np.ndarray:
-        self._frames_processed += len(mags)
-        return mags
 
     def decide(self, mags: np.ndarray) -> BlockResult:
         """Floor and decision on the (rows, bins) magnitudes of the frames after the last one
@@ -218,12 +203,14 @@ class Pipeline:
         events[: max(self.config.warmup_frames - first, 0)] = 0
 
         records = [None] * len(mags)
-        for t in events.nonzero()[0].tolist():
-            pos = first_firing_bin(decisions[t])
-            estimate = estimates[t, pos]
-            strength = float(mags[t, pos] / estimate) if estimate > 0 else math.inf
-            delta, self._last_event_frame = first + t - self._last_event_frame, first + t
-            records[t] = TriggerEvent(delta, self.config.bins.bins[pos], strength)
+        fired = events.nonzero()[0]
+        if fired.size:  # each fired row's first firing bin and its strength, in one gather
+            pos = decisions[fired].argmax(axis=1)
+            with np.errstate(divide="ignore"):  # a zero estimate gives an infinite strength
+                strengths = mags[fired, pos] / estimates[fired, pos]
+            for t, p, strength in zip(fired.tolist(), pos.tolist(), strengths.tolist()):
+                delta, self._last_event_frame = first + t - self._last_event_frame, first + t
+                records[t] = TriggerEvent(delta, self.config.bins.bins[p], strength)
         self._frames_processed += len(mags)
         indices = np.arange(first, self._frames_processed)
         return BlockResult(indices, mags, estimates, margins, events, records)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from spectrig.baselines import (
-    DecimationConfig,
     calibrate_fixed_thresholds,
     decimated_adaptive_detector,
     fixed_spectral_detector,
@@ -207,9 +206,7 @@ def test_criterion_7_baseline_ordering(replica_run):
         off_grid.total_frames,
         off_grid.warmup_frames,
     )
-    decimated_flags = decimated_adaptive_detector(
-        frames_b, DecimationConfig(decimation_factor=4)
-    )
+    decimated_flags = decimated_adaptive_detector(frames_b, 4)
     decimated_cm = score(
         np.flatnonzero(decimated_flags),
         truth_b,

@@ -5,7 +5,6 @@ import pytest
 
 from spectrig import io
 from spectrig.baselines import (
-    DecimationConfig,
     calibrate_fixed_thresholds,
     decimated_adaptive_detector,
     fixed_spectral_detector,
@@ -166,32 +165,32 @@ class TestDecimatedDetector:
     def test_no_decimation_detects_all_large_events(self):
         events = [40, 90, 150]
         frames = self.quiet_frames_with_events(events)
-        flags = decimated_adaptive_detector(frames, DecimationConfig(decimation_factor=1))
+        flags = decimated_adaptive_detector(frames, 1)
         assert [t for t in events if flags[t]] == events
 
     def test_off_grid_events_are_missed(self):
         # all events sit off the D=4 grid, so none can be inspected
         events = [41, 90, 151]
         frames = self.quiet_frames_with_events(events)
-        flags = decimated_adaptive_detector(frames, DecimationConfig(decimation_factor=4))
+        flags = decimated_adaptive_detector(frames, 4)
         assert all(flags[t] == 0 for t in events)
 
     def test_zero_event_stream_stays_quiet(self):
         frames = self.quiet_frames_with_events([])
-        flags = decimated_adaptive_detector(frames, DecimationConfig(decimation_factor=4))
+        flags = decimated_adaptive_detector(frames, 4)
         assert flags.sum() == 0
 
     def test_skipped_frames_report_zero(self):
         frames = self.quiet_frames_with_events([], total=20)
-        flags = decimated_adaptive_detector(frames, DecimationConfig(decimation_factor=5))
+        flags = decimated_adaptive_detector(frames, 5)
         inspected = set(range(0, 20, 5))
         assert all(flags[t] == 0 for t in range(20) if t not in inspected)
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            DecimationConfig(decimation_factor=0)
-        with pytest.raises(ValueError):
-            DecimationConfig(alpha=1.5)
+        chunks = iter([np.zeros((4, 8))])
+        with pytest.raises(ValueError, match="decimation_factor must be >= 1"):
+            decimated_adaptive_detector(chunks, 0)
+        assert next(chunks).shape == (4, 8)  # rejected before any chunk was read
 
     def test_frame_rms(self):
         assert frame_rms(np.zeros(8)) == 0.0

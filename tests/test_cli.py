@@ -235,6 +235,29 @@ class TestBaselineDetectors:
         assert stderr.startswith("error: --calib-frames 5:") and "> 0" in stderr
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow the floor rejects
+    @pytest.mark.parametrize("calib_frames", [20, 100])
+    def test_fixed_detector_names_an_overflowed_frame(self, tmp_path, capsys, calib_frames):
+        """Finite samples whose |X| overflows are named by their frame, after the calibration
+        stretch or inside it, and never blamed on calibration."""
+        samples = np.random.default_rng(3).normal(size=(200, 64))
+        samples[40] = 1.5e307 * np.cos(2 * np.pi * 3 * np.arange(64) / 64)
+        io.write_frames(tmp_path / "frames.bin", samples, 1000.0)
+        io.dump_json(
+            tmp_path / "pipeline.json", {"frame_size": 64, "sample_rate_hz": 1000.0, "bins": [3, 9]}
+        )
+        out = tmp_path / "out"
+        assert main([
+            "detect",
+            "--frames", str(tmp_path / "frames.bin"),
+            "--config", str(tmp_path / "pipeline.json"),
+            "--detector", "fixed",
+            "--calib-frames", str(calib_frames),
+            "--out-dir", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == "error: frame 40: magnitudes must be finite and >= 0\n"
+        assert not out.exists()
+
     def test_decimated_detector_runs(self, replica_dir, tmp_path):
         det_dir = tmp_path / "decimated"
         assert main([

@@ -197,7 +197,7 @@ class TestChunkedContainer:
             assert (reader.frame_size, reader.sample_rate_hz, reader.frame_count) == (16, 250.0, 13)
             for rows in range(1, 15):
                 with mock.patch.object(spectral, "CHUNK_SAMPLES", rows * 16):
-                    blocks = list(reader.blocks())
+                    blocks = list(reader.chunks())
                 assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
                 assert np.concatenate(blocks).tobytes() == whole.tobytes()
             assert np.array_equal(io.read_frames(reader, 4, 9)[0], whole[4:9])
@@ -212,7 +212,7 @@ class TestChunkedContainer:
             assert len(io.read_frames(reader, 0, 8)[0]) == 8
             with pytest.raises(ValueError, match="frame 9: samples must all be finite"):
                 with mock.patch.object(spectral, "CHUNK_SAMPLES", 4 * 16):
-                    list(reader.blocks())
+                    list(reader.chunks())
             with pytest.raises(ValueError, match="outside"):
                 io.read_frames(reader, 8, 13)
 

@@ -311,13 +311,13 @@ class TestBlockCore:
         assert np.array_equal(after.estimates, reference.process_frame(next_frame).estimates)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow the floor rejects
-    @pytest.mark.parametrize("core, bad, message, tracker", [
-        ("process_blocks", np.nan, "samples must all be finite", "median"),  # the transform fails
-        ("process_blocks", 1e308, "magnitudes must be finite", "median"),  # sums overflow: the floor fails
-        ("magnitude_blocks", np.inf, "samples must all be finite", "median"),
-        ("process_blocks", 1e308, "magnitudes must be finite", "ema"),
+    @pytest.mark.parametrize("bad, message, tracker", [
+        (np.nan, "samples must all be finite", "median"),  # the transform fails
+        (1e308, "magnitudes must be finite", "median"),  # sums overflow: the floor fails
+        (np.inf, "samples must all be finite", "median"),
+        (1e308, "magnitudes must be finite", "ema"),
     ])
-    def test_error_in_a_middle_group_of_a_span_names_the_frame(self, core, bad, message, tracker):
+    def test_error_in_a_middle_group_of_a_span_names_the_frame(self, bad, message, tracker):
         """A span of several blocks is transformed in groups; a bad frame in a middle
         group is still named, with every frame before it processed and yielded, bit for
         bit as a clean run of those frames gives them."""
@@ -330,13 +330,10 @@ class TestBlockCore:
         yielded = []
         with mock.patch.object(spectral, "BLOCK_SAMPLES", 32 * 4):  # transform groups of 4 rows
             with pytest.raises(ValueError, match=f"frame 22: {message}"):
-                for result in getattr(pipeline, core)(frames):
+                for result in pipeline.process_blocks(frames):
                     yielded.append(result)
         assert pipeline.frames_processed == 22
-        clean = list(getattr(Pipeline(config), core)(frames[:22]))
-        if core == "magnitude_blocks":
-            assert np.array_equal(np.concatenate(yielded), np.concatenate(clean))
-            return
+        clean = list(Pipeline(config).process_blocks(frames[:22]))
         for name in ("frame_indices", "magnitudes", "estimates", "margins", "events"):
             got = np.concatenate([getattr(b, name) for b in yielded])
             assert np.array_equal(got, np.concatenate([getattr(b, name) for b in clean])), name
@@ -357,23 +354,6 @@ class TestBlockCore:
         assert [len(b) for b in blocks] == [4] * 37 + [2]
         assert np.concatenate([b.frame_indices for b in blocks]).tolist() == list(range(150))
 
-    def test_magnitude_blocks_are_the_cores_magnitudes(self):
-        """The magnitudes alone come in the same blocks, with the same values and errors."""
-        frames = noisy_stream(9, 40, n=32, bins=(3, 9))
-        config = config_for([3, 9], n=32, fast=2, slow=4, window=np.hanning(32))
-        with mock.patch.object(pipeline_module, "BLOCK_SAMPLES", 32 * 7):
-            full, alone = Pipeline(config), Pipeline(config)
-        blocks = list(full.process_blocks(frames))
-        mags = list(alone.magnitude_blocks(frames[:10])) + list(alone.magnitude_blocks(frames[10:]))
-        assert [len(m) for m in mags] == [7, 3, 7, 7, 7, 7, 2]
-        assert np.array_equal(np.concatenate(mags), np.concatenate([b.magnitudes for b in blocks]))
-        assert alone.frames_processed == 40
-        frames[31, 4] = np.nan
-        pipeline = Pipeline(config)
-        list(pipeline.magnitude_blocks(frames[:20]))
-        with pytest.raises(ValueError, match="frame 31: samples must all be finite"):
-            list(pipeline.magnitude_blocks(frames[20:]))
-
     @pytest.mark.parametrize("n, bins, window", [
         (128, (3, 9, 14, 21, 27, 36, 44, 52), False),
         (512, tuple(range(56, 256)), False),
@@ -385,7 +365,7 @@ class TestBlockCore:
         reference, bit for bit: the workloads' shapes, and a window with two edge bins."""
         frames = np.random.default_rng(n).normal(size=(40, n)) * 100.0
         config = config_for(bins, n=n, window=np.hanning(n) if window else None)
-        mags = np.concatenate(list(Pipeline(config).magnitude_blocks(frames)))
+        mags = np.concatenate([b.magnitudes for b in Pipeline(config).process_blocks(frames)])
         windowed = frames * config.window if window else frames
         expected = np.abs(packed_real_reference(windowed)[:, list(bins)])
         assert mags.tobytes() == expected.tobytes()
