@@ -50,6 +50,16 @@ def synthesis_ranges(rows: int, frame_size: int) -> list[int]:
 
 
 @functools.cache
+def helper_pool():
+    """The live thread pool that runs every chunk's synthesis ranges past the first, made on
+    first use. A thread starts only when no idle one is left, so after the first chunk a
+    range costs a submit, not a thread start."""
+    from concurrent.futures import ThreadPoolExecutor  # not imported with spectrig (2 ms)
+
+    return ThreadPoolExecutor(max_workers=os.cpu_count() or 1, thread_name_prefix="synthesis")
+
+
+@functools.cache
 def phase_table() -> np.ndarray:
     """exp(2j * pi * k / PHASE_STEPS) for k = 0 .. PHASE_STEPS - 1, read-only; built on
     first use (about 1 ms, 1 MiB), not at import."""
@@ -294,14 +304,14 @@ class SyntheticStream:
             draws = out[a:b].reshape(-1)[: 2 * (b - a) * n_noise_bins]
             phases, magnitude = draws.reshape(2, b - a, n_noise_bins)
             args.append((start + a, phases, magnitude, self._spectrum[a:b], out[a:b]))
-        # Not imported with spectrig (2 ms). The pool starts a thread per submit: none for one range
-        from concurrent.futures import ThreadPoolExecutor
-
         phase_table()  # built here, in the calling thread, before any helper reads it
-
-        with ThreadPoolExecutor(max_workers=len(args) - 1 or 1) as pool:
-            helpers = [pool.submit(self._synthesize_range, *range_args) for range_args in args[1:]]
+        # One range asks for no pool and starts no thread.
+        helpers = [helper_pool().submit(self._synthesize_range, *part) for part in args[1:]]
+        try:
             self._synthesize_range(*args[0])
+        finally:
+            for helper in helpers:
+                helper.exception()  # waits: the helpers write into out and the spectrum
         for helper in helpers:
             helper.result()  # re-raises a helper's error
 

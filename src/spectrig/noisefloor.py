@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 
-# Values selected over in one np.partition call: a block's windows are cut into
-# groups of frames of at most this many values (2**16 measured fastest).
+# Values a selection call holds in temporaries: a block's windows are cut into
+# calls of at most this many values (2**16 measured fastest).
 SELECT_VALUES = 1 << 16
+
+# Consecutive windows whose medians are selected together around their shared
+# core (of 1, 4, 6, 8, 10, 12 and 16, 8 measured fastest at window 64 on 4, 8 and 200 rows).
+SHARED_WINDOWS = 8
 
 # The longest window, in frames; its history, 2 float64 per frame and row, is made up front.
 MAX_WINDOW = 1 << 16
@@ -27,6 +31,27 @@ class MedianWindows:
     capacity//2 - f//2 of -inf after f pushes, so order statistic
     capacity // 2 of the whole window is exactly that median at every fill
     level: one fixed-index selection for all rows.
+
+    Consecutive windows share all but a few values (Suomela 2014), so their
+    medians are selected m at a time, m = min(SHARED_WINDOWS, k + 1, cap - k,
+    windows left) with cap the capacity and k = cap // 2. The m windows of a
+    group share a core of cap - m + 1 columns; each window adds m - 1 more, a
+    contiguous slice of the group's fringe (its first and last m - 1
+    columns). One partition of the core at k, then of its first k values at
+    k - m + 1, gives the band: the core's order statistics k - m + 1 .. k.
+    A window's median is order statistic m - 1 of the 2m - 1 values made of
+    the band and its m - 1 others. That value v lies between the band's
+    first and last values, since at most m - 1 of the set lie outside each
+    end, so the core's k - m + 1 lower values are <= v and its cap - k - m
+    upper values are >= v: at least k + 1 of the window's values are <= v
+    and at least cap - k are >= v, which makes v its order statistic k.
+    The clamps keep the band inside the core (k - m + 1 >= 0, k <= cap - m);
+    they bind below capacity 15: m = 1 at capacity 1 and 2, 2 at capacity 4,
+    3 at capacity 5. The windows left bound m for short pushes: a one-frame
+    push and medians() take m = 1, a single partition of the whole window,
+    and a push's last count % m windows go as one smaller group. Equal
+    values may come from different columns, so of equal zeros the median
+    may carry the other sign (np.abs never gives -0.0).
     """
 
     def __init__(self, capacity: int, rows: int = 1):
@@ -58,24 +83,56 @@ class MedianWindows:
 
     def _select(self, first: int, count: int) -> np.ndarray:
         """(rows, count) medians of the windows starting at history columns
-        first, first + 1, ..., each taken from a strided view, a group at a time."""
+        first, first + 1, ..., in groups of m windows, several groups a call."""
         history, cap = self._history, self.capacity
         # The median-of-3 network selects the partition's order statistic without a sort;
         # of equal zeros it may return the other sign.
         if cap == 3:
             a, b, c = (history[:, first + i : first + i + count] for i in range(3))
-            return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
-        rows, item = len(history), history.itemsize
-        medians = np.empty((rows, count))
-        group = max(1, SELECT_VALUES // (rows * cap))
-        for start in range(0, count, group):
-            n = min(group, count - start)
-            windows = np.ndarray(
-                (rows, n, cap), history.dtype, history, (first + start) * item,
-                (history.strides[0], item, item),
-            )
-            medians[:, start : start + n] = np.partition(windows, cap // 2, axis=2)[:, :, cap // 2]
+            low, high = np.minimum(a, b), np.maximum(a, b)
+            np.minimum(high, c, out=high)
+            return np.maximum(low, high, out=low)
+        rows, k = len(history), cap // 2
+        m = min(SHARED_WINDOWS, k + 1, cap - k, count or 1)  # a zero-frame push selects nothing
+        if m == count:  # one group, as every one-frame push and medians() take
+            return self._group_medians(first, 1, m).copy()  # frees the group's temporaries
+        medians, whole = np.empty((rows, count)), count - count % m
+        # A group's temporaries: its core with the band, then the band, fringe and sets.
+        step = m * max(1, SELECT_VALUES // (rows * max(cap + 1, 2 * m * (m + 1) - 2)))
+        for a in range(0, whole, step):
+            b = min(a + step, whole)
+            medians[:, a:b] = self._group_medians(first + a, (b - a) // m, m)
+        if whole < count:  # the count % m windows left, as one smaller group
+            medians[:, whole:] = self._group_medians(first + whole, 1, count - whole)
         return medians
+
+    def _group_medians(self, column: int, groups: int, m: int) -> np.ndarray:
+        """(rows, groups * m) medians of the windows starting at history columns column,
+        column + 1, ..., m to a group (see the class docstring), as a view of temporaries."""
+        history, cap, k = self._history, self.capacity, self.capacity // 2
+        rows, item = len(history), history.itemsize
+
+        def columns(offset: int, width: int) -> np.ndarray:
+            """(rows, groups, width) view: each group's columns offset .. offset + width - 1."""
+            return np.ndarray(
+                (rows, groups, width), history.dtype, history, (column + offset) * item,
+                (history.strides[0], m * item, item),
+            )
+
+        core = np.partition(columns(m - 1, cap - m + 1), k, axis=2)
+        if m == 1:
+            return core[:, :, k]
+        core[:, :, :k].partition(k - m + 1, axis=2)
+        band = core[:, :, k - m + 1 : k + 1].copy()
+        del core
+        fringe = np.concatenate((columns(0, m - 1), columns(cap, m - 1)), axis=2)
+        sets = np.empty((rows, groups, m, 2 * m - 1))
+        sets[:, :, :, :m] = band[:, :, None, :]
+        # Window j's others are fringe[j : j + m - 1]: one view (sliding_window_view costs more).
+        shape, strides = (rows, groups, m, m - 1), fringe.strides + (item,)
+        sets[:, :, :, m:] = np.ndarray(shape, fringe.dtype, fringe, 0, strides)
+        sets.partition(m - 1, axis=3)
+        return sets[:, :, :, m - 1].reshape(rows, groups * m)
 
 
 class _BinTracker:

@@ -239,7 +239,9 @@ class FftPlan:
         its upper and lower halves, with the in-place transform's values, twiddles and
         operations, so every value keeps its bits. A stage's output is stored residues
         innermost while they outnumber its half, then positions innermost (_full_layout)."""
-        if not np.isfinite(rows).all():
+        # Complex rows are checked as their float64 parts: half the cost of complex isfinite.
+        as_parts = rows.dtype == np.complex128 and rows.strides[-1] == 16
+        if not np.isfinite(rows.view(np.float64) if as_parts else rows).all():
             raise ValueError("samples must all be finite")
         if not self._twiddles:
             return rows

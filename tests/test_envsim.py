@@ -395,6 +395,25 @@ class TestSplitSynthesis:
             assert same_bits(chunked(scenario, rows), reference)
         assert same_bits(generate(scenario)[0], reference)
 
+    def test_chunks_share_one_live_pool(self, monkeypatch):
+        """Every chunk's helper range goes to the same pool, whose one thread stays alive
+        between chunks: 18 chunks of two ranges start at most one thread."""
+        scenario = eight_sample_scenario(seed=12)
+        reference, _ = whole_stream_reference(scenario)
+        split_every_chunk(monkeypatch, 2)
+        envsim.helper_pool()  # made before the count
+        start = threading.Thread.start
+        started = []
+
+        def counted_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        assert same_bits(chunked(scenario, 5), reference)
+        assert len(started) <= 1, started
+        assert envsim.helper_pool() is envsim.helper_pool()
+
 
 class TestHelperFailure:
     """An exception in a helper thread's range reaches the caller; no unfinished chunk is used."""

@@ -259,14 +259,16 @@ class TestBlockCascade:
     @given(
         fast=st.integers(min_value=1, max_value=70),
         slow=st.integers(min_value=1, max_value=70),
-        # A small cap cuts even short blocks into several selection groups.
+        # A small cap cuts even short blocks into several selection calls.
         select_values=st.sampled_from([1, 150, noisefloor.SELECT_VALUES]),
+        # 1 selects every window alone; more share a core, clamped by short windows.
+        shared=st.sampled_from([1, 2, 3, 8]),
         data=st.data(),
     )
     @settings(max_examples=80, deadline=None)
     # One block longer than the slack, so the history grows; blocks that straddle a compaction.
-    @example(fast=2, slow=5, select_values=noisefloor.SELECT_VALUES, data=None)
-    def test_any_chunking_matches_oracle_for_every_bin(self, fast, slow, select_values, data):
+    @example(fast=2, slow=5, select_values=noisefloor.SELECT_VALUES, shared=8, data=None)
+    def test_any_chunking_matches_oracle_for_every_bin(self, fast, slow, select_values, shared, data):
         if data is None:
             stream = np.resize([3.0, 0.0, 0.0, 7.5, 1.0, 7.5, 2.0], (60, 3)) * [1.0, 0.0, 2.0]
             cuts = [2, 5, 23, 26, 33, 33, 47]
@@ -275,7 +277,7 @@ class TestBlockCascade:
             stream = data.draw(arrays(np.float64, (frames, 3), elements=tied_magnitudes), label="stream")
             cuts = sorted(data.draw(st.lists(st.integers(0, frames), max_size=6), label="cuts"))
         state = NoiseFloorState([4, 9, 17], fast_window=fast, slow_window=slow)
-        with mock.patch.object(noisefloor, "SELECT_VALUES", select_values):
+        with mock.patch.multiple(noisefloor, SELECT_VALUES=select_values, SHARED_WINDOWS=shared):
             estimates = np.concatenate([state.update_all(c) for c in np.split(stream, cuts)])
         for column in range(3):
             expected = cascade_reference(stream[:, column].tolist(), fast, slow)
@@ -349,6 +351,27 @@ class TestMedianOfThree:
         median = MedianWindows(3).push([window])[0, -1]
         assert median == 0.0 and bool(np.signbit(median)) == (position == 2)
         assert not np.signbit(np.abs(np.complex128(complex(-0.0, -0.0))))
+
+
+class TestSharedCore:
+    """Windows other than 3 select m consecutive medians around their shared core: the same
+    order statistics as one np.partition per window, which may differ only in a zero's sign."""
+
+    @given(
+        block=arrays(np.float64, (3, 150), elements=st.sampled_from(
+            [-np.inf, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf]) | finite_floats),
+        cuts=st.lists(st.integers(0, 150), max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_value_as_the_partition(self, block, cuts):
+        windows = MedianWindows(64, rows=3)
+        medians = np.concatenate([windows.push(c) for c in np.split(block, sorted(cuts), axis=1)], axis=1)
+        start = np.broadcast_to(np.where(np.arange(64) % 2 == 0, np.inf, -np.inf), (3, 64))
+        history = np.lib.stride_tricks.sliding_window_view(np.hstack([start, block]), 64, axis=1)
+        expected = np.partition(history[:, 1:], 32, axis=2)[:, :, 32]
+        assert np.array_equal(medians, expected)
+        differs = medians.view(np.uint64) != expected.view(np.uint64)
+        assert (medians[differs] == 0.0).all()
 
 
 class TestEmaTracker:

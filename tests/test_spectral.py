@@ -153,6 +153,19 @@ class TestFft:
         with pytest.raises(ValueError):
             plan(bad)
 
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_plan_rejects_non_finite_complex_parts(self, part, strided):
+        """Complex rows are checked as their float64 parts, contiguous or not."""
+        block = np.zeros((4, 32), np.complex128)
+        rows = block[:, ::2] if strided else block[:, :16]
+        getattr(rows, part)[2, 5] = np.inf
+        for plan in (FftPlan(16), FftPlan(16, (1, 5))):
+            with pytest.raises(ValueError, match="samples must all be finite"):
+                plan(rows)
+        getattr(rows, part)[2, 5] = 1.0
+        assert np.allclose(FftPlan(16)(rows), np.fft.fft(rows, axis=1))
+
     def test_deterministic(self):
         rng = np.random.default_rng(17)
         x = rng.normal(size=64)
