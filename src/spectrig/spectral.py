@@ -111,29 +111,9 @@ class BinSet:
         return np.asarray(self.bins, dtype=np.float64) * sample_rate_hz / frame_size
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.intp)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _full_layout(size: int, stages: int) -> np.ndarray:
-    """For each position g * m + k of the in-place transform after ``stages`` full stages
-    (m = 2**stages; group g holds residue bitrev(g)), where FftPlan._first leaves that value;
-    with no stage, the input bit reversal."""
-    m, groups = 1 << stages, size >> stages
-    g, k = np.divmod(np.arange(size), m)
-    r = _bit_reverse_indices(groups)[g]
-    return k * groups + r if groups > m // 2 else r * m + k
-
-
 def _pruned_outputs(size: int, bins: tuple[int, ...]) -> list[int]:
-    """The last stage's outputs: ``bins`` in order, then spares so that every pruned
-    stage multiplies at least 3 values per row.
+    """The last stage's outputs: ``bins`` once each, in order, then spares so that
+    every pruned stage multiplies at least 3 values per row.
 
     numpy picks its complex multiply loop from the inner length it sees once
     unit axes are dropped: with one value per row, a single row gets the scalar
@@ -142,7 +122,7 @@ def _pruned_outputs(size: int, bins: tuple[int, ...]) -> list[int]:
     A spare k + N/2 shares every earlier stage's outputs with k; a spare
     k + N/4 adds one output to stage N/2 only.
     """
-    outputs = list(bins)
+    outputs = list(dict.fromkeys(bins))
     for spare in (size // 2, size // 4, 3 * size // 4):
         if len(outputs) >= 3 and len({k % (size // 2) for k in outputs}) >= 2:
             break
@@ -159,14 +139,17 @@ class FftPlan:
     plain unscaled forward DFT: X[k] = sum_n x[n] * exp(-2j*pi*k*n/N).
 
     With ``bins``, the plan is output-pruned (Markel 1971; Sorensen and Burrus
-    1993) and returns X only at those bins, in their order. Stage m needs, in
-    every group, the outputs S_m = {b mod m}. Stages that need more than half
-    of their outputs (the first ones need all) run as in the full transform;
-    each later stage gathers its even and odd inputs at precomputed flat
-    indices (the first gather through the full stages' layout), multiplies the
-    odd ones by a precomputed +-twiddle vector and adds. Twiddles and
-    operations are the full transform's, so every value kept carries the same
-    bits.
+    1993) and returns X only at those bins, in their order. Stage m needs the
+    outputs S_m = {b mod m} of every residue. Stages that need more than half
+    of their outputs (the first ones need all) run as in the full transform.
+    Each later stage runs in the same self-sorting order, with rows innermost:
+    its values form an (outputs x residues, rows) array, so it gathers its even
+    and odd inputs as whole runs of residues x rows values, then multiplies
+    and adds over one contiguous vector, against its +-twiddles tiled to match.
+    The first pruned stage reads the samples or the full stages' output in
+    place, so no stage reverses bits. Twiddles and operations are the full
+    transform's, so every value kept carries the same bits. Each distinct
+    output is computed once; a repeated bin is copied at the end.
     """
 
     def __init__(self, size: int, bins=None):
@@ -177,9 +160,12 @@ class FftPlan:
         if bins is not None and (not self.bins or min(self.bins) < 0 or max(self.bins) >= size):
             raise ValueError(f"bins must be 1 or more indices in [0, {size}), got {self.bins}")
         self._twiddles = []  # full stages
-        self._pruned = []  # per pruned stage: (even then odd input indices, +-twiddles)
+        self._pruned = []  # per pruned stage: (even then odd run indices, +-twiddles per run)
         outputs = None if self.bins is None else _pruned_outputs(size, self.bins)
-        held = None  # per group, the outputs the previous pruned stage kept
+        if outputs is not None:  # the last stage's output row of each bin
+            row = {k: i for i, k in enumerate(outputs)}
+            self._order = np.array([row[b] for b in self.bins])
+        held = None  # the outputs the previous pruned stage kept
         m = 2
         while m <= size:
             half, groups = m // 2, size // m
@@ -192,14 +178,19 @@ class FftPlan:
             if needed is None or (m < size and 2 * groups * len(needed) > size):
                 self._twiddles.append(w[:, None])
             else:
-                kept = range(half) if held is None else held  # the previous stage's, per group
-                at = {j: i for i, j in enumerate(kept)}
-                even = (2 * len(kept) * np.arange(groups))[:, None] + [at[j % half] for j in needed]
+                kept = range(half) if held is None else held  # the previous stage's outputs
+                position = {j: i for i, j in enumerate(kept)}
+                at = np.array([position[j % half] for j in needed])
                 twiddles = [w[j % half] if j % m < half else -w[j % half] for j in needed]
-                index = np.concatenate([even.ravel(), even.ravel() + len(kept)])
-                if held is None:  # the first gather reads the full stages' layout
-                    index = _full_layout(size, len(self._twiddles))[index]
-                self._pruned.append((index, np.tile(twiddles, groups)))
+                if held is None and 4 * groups <= half:  # full stages stored positions innermost:
+                    residues = np.arange(2 * groups).reshape(2, 1, groups)  # (i, r) at r * half + i
+                    index, run = (residues * half + at[:, None]).ravel(), 1
+                else:  # (i, r) at i * 2 * groups + r: runs 2i and 2i + 1 hold its even and odd halves
+                    index, run = np.concatenate([2 * at, 2 * at + 1]), groups
+                tiled = np.repeat(twiddles, groups).reshape(len(index) // 2, run)
+                if np.array_equal(index, np.arange(size // run if held is None else 2 * len(held))):
+                    index = None  # the gather would copy its input whole
+                self._pruned.append((index, tiled))
                 held = needed
             m *= 2
 
@@ -209,36 +200,38 @@ class FftPlan:
         with bins returns shape (M,) or (T, M). Only the output may hold more
         than BLOCK_SAMPLES values (or one row's): the early stages run on groups
         of BLOCK_SAMPLES // N rows, and the pruned stages from the first whose
-        gathered pairs for all rows fit BLOCK_SAMPLES once on all rows."""
+        gathered pairs for all rows fit BLOCK_SAMPLES once on all rows. A call
+        tiles each stage's twiddles once per row count it runs the stage on and
+        drops them on return, so the plan keeps nothing that grows with rows."""
         x = np.asarray(samples)
         if x.ndim not in (1, 2) or x.shape[-1] != self.size:
             raise ValueError(f"expected {self.size} samples per frame, got shape {x.shape}")
         shape, rows = x.shape, x.reshape(-1, self.size)
-        group, pruned = max(1, BLOCK_SAMPLES // self.size), self._pruned
+        group, pruned, tiles = max(1, BLOCK_SAMPLES // self.size), self._pruned, {}
         if len(rows) <= group:  # one group, as in every one-frame call: all stages at once
-            x = self._butterflies(self._first(rows), pruned)
+            x = self._butterflies(self._first(rows), 0, len(pruned), tiles)
         else:
             # Stage 0 reads N values a row, more than the bound holds for more rows than a
             # group; each later stage reads no more values than it gathers.
             per_row = BLOCK_SAMPLES // len(rows)
-            fits = (s for s in range(1, len(pruned)) if pruned[s][0].size <= per_row)
+            fits = (s for s in range(1, len(pruned)) if 2 * pruned[s][1].size <= per_row)
             tail = next(fits, len(pruned))
             heads = (self._first(rows[a : a + group]) for a in range(0, len(rows), group))
-            x = np.concatenate([self._butterflies(head, pruned[:tail]) for head in heads])
-            x = self._butterflies(x, pruned[tail:])
+            x = [self._butterflies(head, 0, tail, tiles) for head in heads]
+            x = self._butterflies(np.concatenate(x, axis=1 if pruned else 0), tail, len(pruned), tiles)
         if self.bins is None:
             return x.reshape(shape)
-        return x[:, : len(self.bins)].reshape(shape[:-1] + (len(self.bins),))
+        return x.take(self._order, axis=0).T.reshape(shape[:-1] + (len(self.bins),))
 
     def _first(self, rows: np.ndarray) -> np.ndarray:
-        """The rows, checked, through the full stages; with none, the real samples, which the
-        first gather takes at bit-reversed indices and numpy multiplies and adds as x + 0j.
+        """The rows, checked, through the full stages; with none, the samples, which the first
+        pruned stage reads in their order and numpy multiplies and adds as x + 0j if real.
 
         The full stages are self-sorting (Stockham): after stage m, x[:, k, r] is value k of
         the m-point DFT of samples r, r + N/m, ...; stage m takes residues r and r + N/m as
         its upper and lower halves, with the in-place transform's values, twiddles and
         operations, so every value keeps its bits. A stage's output is stored residues
-        innermost while they outnumber its half, then positions innermost (_full_layout)."""
+        innermost while they outnumber its half, then positions innermost."""
         # Complex rows are checked as their float64 parts: half the cost of complex isfinite.
         as_parts = rows.dtype == np.complex128 and rows.strides[-1] == 16
         if not np.isfinite(rows.view(np.float64) if as_parts else rows).all():
@@ -260,13 +253,25 @@ class FftPlan:
             np.subtract(upper, lower, x[:, half:])
         return store.reshape(-1, self.size)
 
-    def _butterflies(self, x: np.ndarray, stages) -> np.ndarray:
-        """Pruned ``stages`` on the rows of ``x``: each gathers its pairs, then even + odd * w.
-        The indices are in range by construction; mode="wrap" skips numpy's bounds check."""
-        for index, w in stages:
-            pairs = x.take(index, axis=1, mode="wrap")
-            x = pairs[:, : w.size] + pairs[:, w.size :] * w
-        return x
+    def _butterflies(self, x: np.ndarray, first: int, stop: int, tiles: dict) -> np.ndarray:
+        """Pruned stages first ... stop - 1: on _first's (rows, N) output if first is 0, else
+        on stage first - 1's (values, rows) output. Each stage gathers its even then its odd
+        runs and computes even + odd * w, each over one contiguous vector. The indices are in
+        range by construction; mode="wrap" skips numpy's bounds check."""
+        if first == stop:
+            return x
+        if first == 0:  # rows innermost from here: the first gather copies (N, rows) runs
+            x = x.T
+        rows = x.shape[1]
+        for s in range(first, stop):
+            index, w = self._pruned[s]
+            x = x.reshape(-1, w.shape[1] * rows)
+            pairs = x if index is None else x.take(index, axis=0, mode="wrap")
+            tile = w if rows == 1 else tiles.get((s, rows))
+            if tile is None:
+                tile = tiles[s, rows] = np.repeat(w, rows, axis=1)
+            x = pairs[: len(w)] + pairs[len(w) :] * tile
+        return x.reshape(-1, rows)
 
 
 class RealPlan:

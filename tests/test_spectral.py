@@ -1,5 +1,6 @@
 """Transform correctness against the direct-summation oracle, plus frame types."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -271,13 +272,42 @@ class TestPrunedPlan:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         samples = np.random.default_rng(seed).normal(size=(rows, n)) * 100.0
         # A bound anywhere in [8, 2**13], or the one whose all-row stages start at stage s.
-        starts = [rows * index.size for index, _ in plan._pruned[1:]]
+        starts = [rows * 2 * twiddles.size for _, twiddles in plan._pruned[1:]]
         bound = data.draw(st.integers(8, 2**13) | st.sampled_from(starts or [8]), label="bound")
         with mock.patch.object(spectral, "BLOCK_SAMPLES", bound):
             out = plan(samples)
         assert out.tobytes() == plan(samples).tobytes()
         for row, values in zip(samples, out):
             assert plan(row).tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("bound", [2**10, 2**13])
+    def test_kept_memory_does_not_grow_with_rows(self, bound):
+        """A call tiles each stage's twiddles over the rows it runs the stage on and drops
+        them on return: after calls with every row count from 1 to 64, with one row or
+        eight per group, the plan holds no more than after a one-row call. Kept tiles
+        would show: the first stage's alone, over 8 rows, is 512 x 8 complex values
+        (64 KB); numpy's cache of small freed buffers stays well below that."""
+        plan = RealPlan(2048, (37, 101, 173, 241))
+        samples = np.random.default_rng(bound).normal(size=(64, 2048)) * 100.0
+        with mock.patch.object(spectral, "BLOCK_SAMPLES", bound):
+            plan(samples)
+            tracemalloc.start()
+            try:
+                plan(samples[:1])
+                kept = tracemalloc.get_traced_memory()[0]
+                for rows in range(1, 65):
+                    plan(samples[:rows])
+                grown = tracemalloc.get_traced_memory()[0] - kept
+            finally:
+                tracemalloc.stop()
+        assert grown < 16 * 1024
+
+    def test_each_distinct_output_computed_once(self):
+        """A repeated bin is copied from its one output at the end: the dense_bins-shaped
+        half-size plan asks for a + b, 400 outputs of which 255 are distinct, and its last
+        stage gathers each distinct one's pair once."""
+        plan = RealPlan(512, range(56, 256))._plan
+        assert len(plan.bins) == 400 and 2 * plan._pruned[-1][1].size == 2 * 255
 
     @pytest.mark.parametrize("bins", [(0,), (5,), (64,), (0, 64), (7, 9), (3, 35)])
     def test_one_or_two_bins_one_row_against_four(self, bins):
