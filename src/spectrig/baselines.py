@@ -14,6 +14,7 @@ import numpy as np
 
 from .noisefloor import FixedFloor
 from .pipeline import Pipeline, PipelineConfig
+from .spectral import BLOCK_SAMPLES
 from .trigger import ThresholdConfig
 
 
@@ -21,6 +22,8 @@ from .trigger import ThresholdConfig
 # baseline, a single-pole tracker with coefficient ALPHA.
 THRESHOLD_RATIO = 1.2
 ALPHA = 0.95
+# The fixed detector's thresholds: mean + SIGMA_MULTIPLE standard deviations per bin.
+SIGMA_MULTIPLE = 3.0
 
 
 def magnitude_matrix(features) -> np.ndarray:
@@ -32,12 +35,12 @@ def magnitude_matrix(features) -> np.ndarray:
     return mags
 
 
-def calibrate_fixed_thresholds(features, sigma_multiple: float = 3.0) -> np.ndarray:
-    """Mean + k*sigma per bin over a calibration stretch of features, as a (bins,) array."""
+def calibrate_fixed_thresholds(features) -> np.ndarray:
+    """Mean + SIGMA_MULTIPLE * sigma per bin over a calibration stretch, as a (bins,) array."""
     mags = magnitude_matrix(features)
     if mags.size == 0:
         raise ValueError("calibration requires at least one frame of features")
-    return mags.mean(axis=0) + sigma_multiple * mags.std(axis=0)
+    return mags.mean(axis=0) + SIGMA_MULTIPLE * mags.std(axis=0)
 
 
 def fixed_spectral_detector(config: PipelineConfig, thresholds) -> Pipeline:
@@ -49,9 +52,14 @@ def fixed_spectral_detector(config: PipelineConfig, thresholds) -> Pipeline:
 
 
 def frame_rms(samples):
-    """Root-mean-square amplitude of one frame of samples, or of each row of a (T, N) block."""
-    rms = np.sqrt(np.mean(np.square(np.asarray(samples, dtype=np.float64)), axis=-1))
-    return float(rms) if rms.ndim == 0 else rms
+    """Root-mean-square amplitude of one frame of samples, or of each row of a (T, N) block,
+    strided or not, squared BLOCK_SAMPLES // N rows at a time; each row's bits are its own."""
+    x = np.asarray(samples, dtype=np.float64)
+    rows, step = x.reshape(-1, x.shape[-1]), max(1, BLOCK_SAMPLES // x.shape[-1])
+    rms = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        rms[start : start + step] = np.mean(np.square(rows[start : start + step]), axis=-1)
+    return float(np.sqrt(rms[0])) if x.ndim == 1 else np.sqrt(rms, out=rms)
 
 
 def decimated_adaptive_detector(samples, decimation_factor: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import functools
 import json
 import sys
 import time
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +50,9 @@ def _run_proposed(chunks, config: PipelineConfig, frame_count: int):
             at, t = block.frame_indices, np.arange(len(block))
             pos = np.argmax(block.margins, axis=1)
             feature[at], margin[at] = block.magnitudes[t, pos], block.margins[t, pos]
-            rms[at] = frame_rms(chunk[at[0] - first : at[-1] + 1 - first])  # a view, not a copy
             event[at] = block.events
             rows += _event_rows(block)
+        rms[first : pipeline.frames_processed] = frame_rms(chunk)
         del chunk  # released before the next chunk is made
     series = {"frame": np.arange(frame_count, dtype=np.int64), "rms": rms, "feature": feature}
     series.update(threshold=feature - margin, margin=margin, event=event)
@@ -88,7 +89,7 @@ def _run_fixed(chunks, config: PipelineConfig, calib_frames: int, frame_count: i
     rows = []
     for mags in held:
         rows += _event_rows(detector.decide(mags))
-    del held, mags  # released before the next chunk is read
+    del held, mags, pipeline  # the calibration core too: one core at a time from here
     for chunk in chunks:
         for block in detector.process_blocks(chunk):
             rows += _event_rows(block)
@@ -144,18 +145,14 @@ def _appended(writer: io.FrameWriter, chunks):
         del chunk  # released before the next chunk is made
 
 
-def _drain(chunks) -> None:
-    for chunk in chunks:
-        del chunk  # a loop variable left bound would keep this chunk alive while the next is made
-
-
-def _generate_into(out_dir, scenario: ScenarioConfig, consume=_drain):
+def _generate_into(out_dir, scenario: ScenarioConfig, consume=functools.partial(deque, maxlen=0)):
     """Generate ``scenario`` into out_dir: frames.bin, truth.csv and scenario.json.
 
     Each chunk goes to ``consume`` (an iterator of chunks in, any result out)
-    once it is appended to frames.bin. Returns (truth, consume's result). The
-    header is checked and the events are placed before out_dir is made, and if
-    the stream fails the out_dir made here is removed.
+    once it is appended to frames.bin; the default keeps none, so each chunk is released
+    before the next one is made. Returns (truth, consume's result). The header is checked and
+    the events are placed before out_dir is made, and if the stream fails the out_dir made
+    here is removed.
     """
     io.pack_header(scenario.frame_size, scenario.sample_rate_hz, scenario.total_frames)
     stream = SyntheticStream(scenario)
@@ -336,7 +333,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite value is named by a check or is an inf by design
+            return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

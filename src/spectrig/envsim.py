@@ -15,6 +15,7 @@ import functools
 import math
 import os
 from bisect import bisect_right
+from contextvars import copy_context
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -146,9 +147,6 @@ class EventInterval:
     def __post_init__(self) -> None:
         if self.end_frame <= self.start_frame:
             raise ValueError("interval must span at least one frame")
-
-    def covers(self, frame: int) -> bool:
-        return self.start_frame <= frame < self.end_frame
 
 
 @dataclass(frozen=True)
@@ -305,8 +303,9 @@ class SyntheticStream:
             phases, magnitude = draws.reshape(2, b - a, n_noise_bins)
             args.append((start + a, phases, magnitude, self._spectrum[a:b], out[a:b]))
         phase_table()  # built here, in the calling thread, before any helper reads it
-        # One range asks for no pool and starts no thread.
-        helpers = [helper_pool().submit(self._synthesize_range, *part) for part in args[1:]]
+        # One range asks for no pool and starts no thread. A helper runs in a copy of the
+        # caller's context, so numpy's error state (a context variable) holds there too.
+        helpers = [helper_pool().submit(copy_context().run, self._synthesize_range, *a) for a in args[1:]]
         try:
             self._synthesize_range(*args[0])
         finally:

@@ -18,6 +18,7 @@ from .envsim import GroundTruth
 from .trigger import PAYLOAD_BITS
 
 BITS_PER_FEATURE = 16  # one streamed feature value, in the traffic comparison
+SETTLE_FRACTION = 0.25  # the trailing share of a phase whose threshold median is "settled"
 
 
 @dataclass(frozen=True)
@@ -125,20 +126,16 @@ def per_phase_scores(
 
 
 def traffic_stats(
-    frame_count: int,
-    event_count: int,
-    monitored_bins: int,
-    bits_per_feature: int,
-    event_payload_bits: int = 64,
+    frame_count: int, event_count: int, monitored_bins: int, bits_per_feature: int
 ) -> dict[str, float]:
-    """The metrics document's ``traffic`` section: trigger-only transmission volume versus
-    streaming every feature vector. ``reduction_factor`` is inf when no event is sent."""
+    """The metrics document's ``traffic`` section: trigger-only transmission volume (PAYLOAD_BITS
+    an event) versus streaming every feature vector. ``reduction_factor`` is inf when none is sent."""
     if frame_count <= 0:
         raise ValueError("frame_count must be positive")
-    if min(event_count, monitored_bins, bits_per_feature, event_payload_bits) < 0:
+    if min(event_count, monitored_bins, bits_per_feature) < 0:
         raise ValueError("counts must be >= 0")
     feature_bits = frame_count * monitored_bins * bits_per_feature
-    trigger_bits = event_count * event_payload_bits
+    trigger_bits = event_count * PAYLOAD_BITS
     return {
         "data_reduction": 1.0 - event_count / frame_count,
         "feature_stream_bits": feature_bits,
@@ -153,14 +150,13 @@ def payload_comparison(
     decimation_factor: int = 4,
     monitored_bins: int = 16,
     bits_per_feature: int = 16,
-    trigger_payload_bits: int = 64,
 ) -> dict[str, int]:
     """Per-event payload size of the four transmission architectures."""
     return {
         "raw_streaming": frame_size * bits_per_sample,
         "decimated_streaming": (frame_size // decimation_factor) * bits_per_sample,
         "feature_transmission": monitored_bins * bits_per_feature,
-        "trigger_only": trigger_payload_bits,
+        "trigger_only": PAYLOAD_BITS,
     }
 
 
@@ -171,16 +167,11 @@ def amplification(mean_hops: float, false_alarm_rate: float, payload_bits: float
     return mean_hops * false_alarm_rate * payload_bits
 
 
-def threshold_adaptation(
-    threshold_series,
-    phase_bounds,
-    warmup_frames: int = 0,
-    settle_fraction: float = 0.25,
-) -> dict[str, float]:
+def threshold_adaptation(threshold_series, phase_bounds, warmup_frames: int = 0) -> dict[str, float]:
     """The metrics document's ``threshold`` section: a per-frame threshold trace
     summarized against the phase layout.
 
-    "Settled" means the median over the trailing ``settle_fraction`` of a
+    "Settled" means the median over the trailing SETTLE_FRACTION of a
     phase, where the tracker has had the whole phase to converge.
     ``adaptation_ratio`` is inf when the first phase settles at 0. A phase
     with no frame after the warm-up is a ValueError naming it.
@@ -195,7 +186,7 @@ def threshold_adaptation(
             )
 
     def settled(start: int, end: int) -> float:
-        tail = max(start, end - max(1, int((end - start) * settle_fraction)))
+        tail = max(start, end - max(1, int((end - start) * SETTLE_FRACTION)))
         return float(np.median(series[tail:end]))
 
     _, first_start, first_end = phase_bounds[0]
@@ -242,7 +233,7 @@ def build_metrics(
     }
     if monitored_bins is not None:
         document["traffic"] = traffic = traffic_stats(
-            total_frames, transmitted, monitored_bins, BITS_PER_FEATURE, PAYLOAD_BITS
+            total_frames, transmitted, monitored_bins, BITS_PER_FEATURE
         )
         traffic["reduction_factor"] = _finite_or_none(traffic["reduction_factor"])
     if phase_bounds is not None:

@@ -134,11 +134,10 @@ class Pipeline:
         self._tracker = tracker
         self._coefficients = config.thresholds.as_array()
         self._block_rows = max(1, BLOCK_SAMPLES // config.frame_size)
-        # A span, transformed at once: the most whole blocks, up to one chunk, whose (rows, bins)
-        # magnitudes fit in BLOCK_SAMPLES values; one block with a window, to bound its copy.
-        blocks = min(chunk_rows(config.frame_size), BLOCK_SAMPLES // len(config.bins))
-        blocks = max(1, blocks // self._block_rows) if config.window is None else 1
-        self._span_rows = blocks * self._block_rows
+        # A span, decided (and unless windowed, transformed) at once: the most whole blocks, up
+        # to one chunk, whose (rows, bins) magnitudes fit in BLOCK_SAMPLES values.
+        rows = min(chunk_rows(config.frame_size), BLOCK_SAMPLES // len(config.bins))
+        self._span_rows = max(1, rows // self._block_rows) * self._block_rows
         self._frames_processed = 0
         self._last_event_frame = 0  # so the first event's delta is its absolute index
 
@@ -181,10 +180,13 @@ class Pipeline:
                     yield result[first : first + self._block_rows]
 
     def _magnitudes(self, samples: np.ndarray) -> np.ndarray:
-        """Window, real-input transform and |X|: the rows' (rows, bins) magnitudes."""
-        if self.config.window is not None:
-            samples = samples * self.config.window
-        return np.abs(self._plan(samples))
+        """Window, real-input transform and |X|: the rows' (rows, bins) magnitudes. A window's
+        copy of the samples is made a block at a time."""
+        window, step = self.config.window, self._block_rows
+        if window is None:
+            return np.abs(self._plan(samples))
+        blocks = (samples[a : a + step] * window for a in range(0, len(samples), step))
+        return np.concatenate([np.abs(self._plan(block)) for block in blocks])
 
     def decide(self, mags: np.ndarray) -> BlockResult:
         """Floor and decision on the (rows, bins) magnitudes of the frames after the last one

@@ -78,6 +78,25 @@ class TestReplica:
         for name in ("frames.bin", "events.csv", "series.csv", "report.json"):
             assert (out / name).read_bytes() == (replica_dir / name).read_bytes(), name
 
+    @pytest.mark.parametrize("command", ["eval", "replica"])
+    def test_csv_format_lists_the_metrics(self, replica_dir, tmp_path, capsys, command):
+        """--format csv prints a metric,value line per confusion count, then one per derived
+        metric in name order, with the values metrics.json holds."""
+        out = tmp_path / command
+        if command == "eval":
+            argv = ["eval", "--events", str(replica_dir / "events.csv"), "--truth",
+                    str(replica_dir / "truth.csv"), "--scenario", str(replica_dir / "scenario.json")]
+        else:
+            argv = ["replica", "--seed", "42"]
+        assert main([*argv, "--format", "csv", "--out-dir", str(out)]) == 0
+        metrics = read_json(out / "metrics.json")
+        counts = [(key, metrics["confusion"][key]) for key in ("tp", "fp", "fn", "tn")]
+        derived = sorted(metrics["derived"].items())
+        expected = ["metric,value"] + [f"{key},{value}" for key, value in counts + derived]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[: len(expected)] == expected
+        assert len(lines) == len(expected) + (command == "replica")  # then its runtime line
+
     def test_emitted_files_reload_through_own_parsers(self, replica_dir):
         samples, _ = io.read_frames(replica_dir / "frames.bin")
         truth = io.read_truth(replica_dir / "truth.csv")
@@ -235,7 +254,6 @@ class TestBaselineDetectors:
         assert stderr.startswith("error: --calib-frames 5:") and "> 0" in stderr
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow the floor rejects
     @pytest.mark.parametrize("calib_frames", [20, 100])
     def test_fixed_detector_names_an_overflowed_frame(self, tmp_path, capsys, calib_frames):
         """Finite samples whose |X| overflows are named by their frame, after the calibration
@@ -629,6 +647,17 @@ class TestErrors:
         out = tmp_path / "out"
         assert main(["replica", "--seed", "42", "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: synthesis failed")
+        assert not out.exists()
+
+    def test_detect_without_config_on_another_frame_size(self, tmp_path, capsys):
+        """The built-in pipeline is the replica's: on frames of another size, detect without
+        --config is an error line that asks for one, and makes no out-dir."""
+        io.write_frames(tmp_path / "frames.bin", np.zeros((4, 64)), 1000.0)
+        out = tmp_path / "out"
+        assert main(["detect", "--frames", str(tmp_path / "frames.bin"), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: frame size differs from the built-in defaults; pass --config\n"
+        )
         assert not out.exists()
 
     def test_zero_frame_container_without_config(self, replica_dir, tmp_path):

@@ -229,7 +229,6 @@ _FUZZ_CONFIG = PipelineConfig(
 _FUZZ_SAMPLE = st.floats() | st.sampled_from([1e308, -1e308, sys.float_info.max])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # huge samples overflow the sums
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), mutation=st.sampled_from(["truncate", "bytes", "sample"]))
 def test_fuzzed_container_gives_events_or_an_error_line(tmp_path_factory, data, mutation):

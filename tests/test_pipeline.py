@@ -401,6 +401,12 @@ class TestBlockCore:
         assert Pipeline(config_for([3], n=128))._block_rows == pipeline_module.BLOCK_SAMPLES // 128
         assert Pipeline(config_for([3], n=16384))._block_rows == 1
 
+    def test_window_keeps_the_span(self):
+        """A window's copy is made a block at a time, so a window does not shorten the span."""
+        plain = Pipeline(config_for([3, 9], n=128))
+        windowed = Pipeline(config_for([3, 9], n=128, window=np.hanning(128)))
+        assert windowed._span_rows == plain._span_rows > windowed._block_rows
+
 
 class TestEmaMode:
     def test_ema_tracker_selected(self):

@@ -123,7 +123,12 @@ def wide_runs(tmp_path_factory):
     return work, peaks
 
 
-DETECT_ARGS = {**DETECTORS, "fixed": ["--detector", "fixed", "--calib-frames", "500"]}
+DETECT_ARGS = {
+    **DETECTORS,
+    "fixed": ["--detector", "fixed", "--calib-frames", "500"],
+    "decimated_1": ["--detector", "decimated", "--decimation", "1"],
+    "decimated_2": ["--detector", "decimated", "--decimation", "2"],
+}
 
 
 @pytest.fixture(scope="module")
